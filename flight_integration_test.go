@@ -138,7 +138,7 @@ func TestFlightBundleEndToEnd(t *testing.T) {
 	if len(b.Stats.Phases) == 0 {
 		t.Fatal("bundle snapshot lost the phase table")
 	}
-	if len(b.Ring) == 0 {
+	if len(b.Health) == 0 {
 		t.Fatal("bundle carries no sampled history")
 	}
 	if b.WaitGraph == nil {

@@ -155,10 +155,16 @@ type Engine struct {
 	// Stats API and the /debug/mvdb endpoint.
 	stats *obs.Stats
 	// phases is the latency-attribution matrix; nil unless
-	// Options.PhaseTiming (nil keeps every timing site to one nil test).
+	// Options.PhaseTiming. With traces and hot it is one of the sinks a
+	// transaction's probe feeds (probe.go).
 	phases *obs.PhaseStats
 	// traces is the causal span tracer; nil unless Options.Traces.
 	traces *trace.Tracer
+	// live indexes 2PL probes by transaction id for the lock manager's
+	// wait observer; pending indexes completed read-write probes by
+	// transaction number for the VC drain's visibility observer. Both
+	// are nil unless phase timing or tracing is on.
+	live, pending *probeIndex
 	// hot is the workload profiler; nil unless Options.Hotspot (nil
 	// keeps every touch/conflict hook to one nil test).
 	hot             *hotspot.Profiler
@@ -197,11 +203,9 @@ func New(opts Options) *Engine {
 	e.hot = opts.Hotspot
 	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
 		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
-		// phases.Record, traces.OnLockWait, and hot.RecordStripeWait are
-		// nil-safe; only 2PL transactions reach the lock manager, so the
-		// attribution row is fixed.
-		e.phases.Record(obs.Proto2PL, obs.PhaseLockWait, txID, wait)
-		e.traces.OnLockWait(txID, key, stripe, blocker, wait)
+		// Every hook below is nil-safe: without a timing sink live is
+		// nil and so is the probe it returns.
+		e.live.get(txID).lockWait(key, stripe, blocker, wait)
 		e.hot.RecordStripeWait(stripe, wait)
 		opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
 	})
@@ -213,6 +217,7 @@ func New(opts Options) *Engine {
 		e.phases = obs.NewPhaseStats(opts.Trace)
 	}
 	if opts.PhaseTiming || opts.Traces != nil {
+		e.live, e.pending = newProbeIndex(), newProbeIndex()
 		e.observeVC()
 	}
 	e.protocol.Store(int32(opts.Protocol))
@@ -231,19 +236,16 @@ func (e *Engine) attachWALObserver(w *wal.Writer) {
 	})
 }
 
-// observeVC wires the version-control module's register→visible lag
-// into the phase matrix and the span tracer. Called at construction and
-// again whenever the controller is replaced (recovery). The entry is
-// attributed to the protocol in force when it becomes visible — exact
-// except across an adaptive protocol switch, where a straggler may land
-// one row over.
+// observeVC routes the version-control module's register→visible lag
+// to the probe of the transaction that became visible. Called at
+// construction and again whenever the controller is replaced
+// (recovery).
 func (e *Engine) observeVC() {
-	if e.phases == nil && e.traces == nil {
+	if e.pending == nil {
 		return
 	}
 	e.vc.SetVisibleObserver(func(tn uint64, d time.Duration) {
-		e.phases.Record(e.protoIdx(), obs.PhaseVisibleWait, tn, d)
-		e.traces.OnVisible(tn, d)
+		e.pending.take(tn).visible(d)
 	})
 }
 
@@ -262,11 +264,7 @@ func (e *Engine) bindHotVC() {
 	}
 }
 
-// protoIdx maps the current protocol onto the phase matrix's row. The
-// first three obs.ProtoIdx values mirror Protocol's ordering, asserted
-// at init below.
-func (e *Engine) protoIdx() obs.ProtoIdx { return obs.ProtoIdx(e.protocol.Load()) }
-
+// The first three obs.ProtoIdx values mirror Protocol's ordering.
 func init() {
 	if obs.Proto2PL != obs.ProtoIdx(TwoPhaseLocking) ||
 		obs.ProtoTO != obs.ProtoIdx(TimestampOrdering) ||
@@ -322,7 +320,7 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	e.bootstrapSealed.Store(true)
 	id := e.ids.Add(1)
 	if class == engine.ReadOnly {
-		return e.beginReadOnly(id, 0), nil
+		return e.beginReadOnly(id, 0, e.newProbe(obs.ProtoRO, id)), nil
 	}
 	e.stats.BeginsRW.Inc()
 	switch p := e.Protocol(); p {
@@ -359,32 +357,23 @@ func (e *Engine) BeginReadOnlyAt(sn uint64) (engine.Tx, error) {
 		return nil, errors.New("core: engine closed")
 	}
 	e.bootstrapSealed.Store(true)
+	id := e.ids.Add(1)
+	p := e.newProbe(obs.ProtoRO, id)
 	if e.vc.VTNC() < sn {
 		e.stats.RecencyWaits.Inc()
-		if ph := e.phases; ph != nil {
-			start := time.Now()
-			e.vc.WaitVisible(sn)
-			// The RO row's visible-wait is the Section 6 recency wait:
-			// how long a pinned read-only begin stalled for visibility.
-			ph.Record(obs.ProtoRO, obs.PhaseVisibleWait, 0, time.Since(start))
-		} else {
-			e.vc.WaitVisible(sn)
-		}
+		// The RO row's visible-wait is the Section 6 recency wait: how
+		// long a pinned read-only begin stalled for visibility.
+		start := p.begin(obs.PhaseVisibleWait)
+		e.vc.WaitVisible(sn)
+		p.end(obs.PhaseVisibleWait, start)
 	}
-	return e.beginReadOnly(e.ids.Add(1), sn), nil
+	return e.beginReadOnly(id, sn, p), nil
 }
 
 // Obs exposes the engine's observability registry so wrappers (the
 // public API, the adaptive engine) can count events that happen above
 // this layer — Update retries, GC passes — into the same snapshot.
 func (e *Engine) Obs() *obs.Stats { return e.stats }
-
-// Phases exposes the latency-attribution matrix (nil unless
-// Options.PhaseTiming).
-func (e *Engine) Phases() *obs.PhaseStats { return e.phases }
-
-// Traces exposes the causal span tracer (nil unless Options.Traces).
-func (e *Engine) Traces() *trace.Tracer { return e.traces }
 
 // LockWaitGraph exports the lock manager's current waits-for graph (the
 // flight recorder's postmortem bundles include it).
@@ -471,13 +460,11 @@ func (e *Engine) MinActiveReadOnlySN() (uint64, bool) {
 	return e.roActive.min()
 }
 
-// appendWAL logs a committed write set ahead of installation. A log
-// failure is returned to the caller, whose transaction must abort: a
-// commit that is not durable must not become visible. With phase timing
-// on, the append is split into its two separable costs — getting the
-// record into the log buffer vs waiting for fsync coverage (the
-// group-commit ticket wait under SyncBatch) — attributed to proto/txID.
-func (e *Engine) appendWAL(proto obs.ProtoIdx, txID, tn uint64, buf map[string]bufWrite, tr *trace.Active) error {
+// appendWAL logs a committed write set ahead of installation, timed by
+// the transaction's probe. A log failure is returned to the caller,
+// whose transaction must abort: a commit that is not durable must not
+// become visible.
+func (e *Engine) appendWAL(p *probe, tn uint64, buf map[string]bufWrite) error {
 	if e.opts.WAL == nil {
 		return nil
 	}
@@ -485,40 +472,7 @@ func (e *Engine) appendWAL(proto obs.ProtoIdx, txID, tn uint64, buf map[string]b
 	for k, w := range buf {
 		rec.Writes = append(rec.Writes, wal.Write{Key: k, Value: w.data, Tombstone: w.tombstone})
 	}
-	ph := e.phases
-	if ph == nil && tr == nil {
-		return e.opts.WAL.Append(rec)
-	}
-	ph.PprofEnter(proto, obs.PhaseFsyncWait)
-	var info wal.BatchInfo
-	var enq, syncWait int64
-	var err error
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-		info, enq, syncWait, err = e.opts.WAL.AppendTraced(rec)
-	} else {
-		enq, syncWait, err = e.opts.WAL.AppendTimed(rec)
-	}
-	ph.PprofExit()
-	ph.Record(proto, obs.PhaseWALEnqueue, txID, time.Duration(enq))
-	ph.Record(proto, obs.PhaseFsyncWait, txID, time.Duration(syncWait))
-	if tr != nil {
-		ns := start.UnixNano()
-		tr.SpanAt(obs.PhaseWALEnqueue.String(), -1, ns, enq)
-		tr.SpanAt(obs.PhaseFsyncWait.String(), -1, ns+enq, syncWait)
-		if err == nil && info.Batch != 0 {
-			tr.Blame(trace.Blame{
-				Kind:    trace.BlameJoinedBatch,
-				Phase:   obs.PhaseFsyncWait.String(),
-				Tx:      info.LeaderTN,
-				Batch:   info.Batch,
-				Records: info.Records,
-				DurNS:   syncWait,
-			})
-		}
-	}
-	return err
+	return p.appendWAL(e.opts.WAL, rec)
 }
 
 // Recover rebuilds an engine from a write-ahead log: every intact commit
@@ -552,21 +506,25 @@ func (e *Engine) SetWAL(w *wal.Writer) error {
 }
 
 // complete routes a completion through either the correct Figure 1 path
-// or the ablated (A2) eager path. A traced completion observes the VC
-// queue at the completion instant: if an older registered-but-incomplete
-// transaction heads the queue, visibility is deferred to it, and that is
-// the queued-behind blame edge. The eager path bypasses the drain (no
-// visibility callback will ever fire), so its trace finalizes here.
-func (e *Engine) complete(entry vc.Handle, tr *trace.Active) {
+// or the ablated (A2) eager path. The probe is indexed by tn first, so
+// the visibility observer can find it however soon the drain fires. A
+// traced completion observes the VC queue at the completion instant: if
+// an older registered-but-incomplete transaction heads the queue,
+// visibility is deferred to it, and that is the queued-behind blame
+// edge. The eager path bypasses the drain (no visibility callback will
+// ever fire), so its trace finalizes here.
+func (e *Engine) complete(entry vc.Handle, p *probe) {
 	if e.opts.UnsafeEagerVisibility {
 		e.vc.UnsafeCompleteEager(entry)
-		tr.FinishCommit()
+		p.finishCommit()
 		return
 	}
-	if tr == nil {
+	e.pending.put(entry.TN(), p)
+	if p == nil || p.tr == nil {
 		e.vc.Complete(entry)
 		return
 	}
+	tr := p.tr
 	e.vc.CompleteObserved(entry, func(o vc.Obstruction) {
 		tr.Blame(trace.Blame{
 			Kind:      trace.BlameQueuedBehind,
@@ -579,40 +537,76 @@ func (e *Engine) complete(entry vc.Handle, tr *trace.Active) {
 	})
 }
 
-// roRegistry tracks active read-only transactions for GC watermarks.
-// It is sharded to keep the (optional) cost off the read-only fast path
-// as much as possible.
-type roRegistry struct {
-	enabled bool
-	shards  [16]roShard
-	ctr     atomic.Uint64
+// shardMap is a uint64-keyed map split over 16 mutex-guarded shards, so
+// concurrent transactions rarely meet on one lock. It backs the
+// read-only registry and the probe indexes.
+type shardMap[V any] struct {
+	shards [16]mapShard[V]
 }
 
-type roShard struct {
+type mapShard[V any] struct {
 	mu sync.Mutex
-	m  map[uint64]uint64 // token -> sn
+	m  map[uint64]V
 }
 
-func (r *roRegistry) init() {
-	for i := range r.shards {
-		r.shards[i].m = make(map[uint64]uint64)
+func (s *shardMap[V]) init() {
+	for i := range s.shards {
+		s.shards[i].m = make(map[uint64]V)
 	}
 }
 
-func (r *roRegistry) add(sn uint64) (token uint64) {
-	token = r.ctr.Add(1)
-	sh := &r.shards[token%uint64(len(r.shards))]
+func (s *shardMap[V]) shard(k uint64) *mapShard[V] { return &s.shards[k%uint64(len(s.shards))] }
+
+func (s *shardMap[V]) store(k uint64, v V) {
+	sh := s.shard(k)
 	sh.mu.Lock()
-	sh.m[token] = sn
+	sh.m[k] = v
 	sh.mu.Unlock()
-	return token
 }
 
-func (r *roRegistry) remove(token uint64) {
-	sh := &r.shards[token%uint64(len(r.shards))]
+func (s *shardMap[V]) load(k uint64) V {
+	sh := s.shard(k)
 	sh.mu.Lock()
-	delete(sh.m, token)
+	v := sh.m[k]
 	sh.mu.Unlock()
+	return v
+}
+
+// remove deletes k and returns its value (the zero value if absent).
+func (s *shardMap[V]) remove(k uint64) V {
+	sh := s.shard(k)
+	sh.mu.Lock()
+	v := sh.m[k]
+	delete(sh.m, k)
+	sh.mu.Unlock()
+	return v
+}
+
+// roRegistry tracks active read-only transactions (token -> start
+// number) for GC watermarks. It is sharded to keep the (optional) cost
+// off the read-only fast path as much as possible.
+type roRegistry struct {
+	shardMap[uint64]
+	ctr atomic.Uint64
+}
+
+// add registers a read-only transaction at start number pinSN, or, when
+// pinSN is zero, at c.Start() taken while the shard lock is held. The
+// garbage collector reads vtnc before it scans the registry
+// (gc.Watermark), so a snapshot taken in here is either seen by the
+// scan or no older than the vtnc the collector already read — never
+// pruned out from under the reader.
+func (r *roRegistry) add(c vc.Controller, pinSN uint64) (token, sn uint64) {
+	token = r.ctr.Add(1)
+	sh := r.shard(token)
+	sh.mu.Lock()
+	sn = pinSN
+	if sn == 0 {
+		sn = c.Start()
+	}
+	sh.m[token] = sn
+	sh.mu.Unlock()
+	return token, sn
 }
 
 func (r *roRegistry) min() (uint64, bool) {

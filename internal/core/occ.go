@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 )
 
 // occTx is a read-write transaction under VC+OCC, the integration the
@@ -29,14 +27,11 @@ type occTx struct {
 	buf     map[string]bufWrite
 	done    bool
 	tn      uint64
-	tr      *trace.Active // nil unless head-sampled
+	p       *probe // nil unless instrumented
 }
 
 func (e *Engine) beginOptimistic(id uint64) *occTx {
-	t := &occTx{e: e, id: id, readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.ProtoOCC.String())
-	}
+	t := &occTx{e: e, id: id, readSet: make(map[string]uint64), buf: make(map[string]bufWrite), p: e.newProbe(obs.ProtoOCC, id)}
 	e.rec.RecordBegin(id, engine.ReadWrite)
 	return t
 }
@@ -44,17 +39,9 @@ func (e *Engine) beginOptimistic(id uint64) *occTx {
 // Get implements engine.Tx: optimistic read of the latest committed
 // version, with no synchronization.
 func (t *occTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoOCC, obs.PhaseRead)
-	start := time.Now()
+	start := t.p.begin(obs.PhaseRead)
 	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoOCC, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
+	t.p.end(obs.PhaseRead, start)
 	return v, err
 }
 
@@ -121,16 +108,11 @@ func (t *occTx) Commit() error {
 	t.done = true
 
 	e := t.e
-	ph := e.phases
 	// The validate span covers entering the critical section (waiting
 	// out other validators), the read-set check, and registration — the
 	// serial-order-fixing stretch that Larson et al. identify as OCC's
 	// throughput ceiling.
-	var tVal time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoOCC, obs.PhaseValidate)
-		tVal = time.Now()
-	}
+	start := t.p.begin(obs.PhaseValidate)
 	e.valMu.Lock()
 	for key, seenTN := range t.readSet {
 		cur := uint64(0)
@@ -139,55 +121,36 @@ func (t *occTx) Commit() error {
 		}
 		if cur != seenTN {
 			e.valMu.Unlock()
-			if ph != nil || t.tr != nil {
-				d := time.Since(tVal)
-				ph.Record(obs.ProtoOCC, obs.PhaseValidate, t.id, d)
-				ph.PprofExit()
-				t.tr.Span(obs.PhaseValidate.String(), tVal, d)
-			}
+			t.p.end(obs.PhaseValidate, start)
 			e.hot.RecordConflict("occ-validate", key)
 			e.stats.AbortsConflict.Inc()
 			e.rec.RecordAbort(t.id)
-			t.tr.FinishAbort()
+			t.p.finishAbort()
 			return engine.ErrConflict
 		}
 	}
 	entry := e.vc.Register()
 	t.tn = entry.TN()
-	t.tr.CommitTN(t.tn)
-	if ph != nil || t.tr != nil {
-		d := time.Since(tVal)
-		ph.Record(obs.ProtoOCC, obs.PhaseValidate, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseValidate.String(), tVal, d)
-	}
-	if err := e.appendWAL(obs.ProtoOCC, t.id, t.tn, t.buf, t.tr); err != nil {
+	t.p.setTN(t.tn)
+	t.p.end(obs.PhaseValidate, start)
+	if err := e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		e.vc.Discard(entry)
 		e.valMu.Unlock()
 		e.rec.RecordAbort(t.id)
-		t.tr.FinishAbort()
+		t.p.finishAbort()
 		return fmt.Errorf("core: commit log: %w", err)
 	}
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoOCC, obs.PhaseInstall)
-		tIns = time.Now()
-	}
+	start = t.p.begin(obs.PhaseInstall)
 	for key, w := range t.buf {
 		o := e.store.GetOrCreate(key)
 		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
 		e.rec.RecordWrite(t.id, key, t.tn)
 	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.ProtoOCC, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
+	t.p.end(obs.PhaseInstall, start)
 	e.valMu.Unlock()
 
 	e.rec.RecordCommit(t.id, t.tn)
-	e.complete(entry, t.tr)
+	e.complete(entry, t.p)
 	e.stats.CommitsRW.Inc()
 	return nil
 }
@@ -208,7 +171,7 @@ func (t *occTx) abortInternal() {
 	}
 	t.done = true
 	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
+	t.p.finishAbort()
 }
 
 // ID implements engine.Tx.

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"time"
-
 	"mvdb/internal/engine"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 )
 
 // roTx is a read-only transaction (paper Figure 2). It is shared by all
@@ -21,12 +18,15 @@ type roTx struct {
 	token   uint64 // roRegistry token (0 = untracked)
 	done    bool
 	tracked bool
-	tr      *trace.Active // nil unless head-sampled
+	p       *probe // nil unless instrumented
 }
 
-func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
+// beginReadOnly starts read-only transaction id. A zero pinSN takes the
+// snapshot from VCstart; a tracked one is taken inside the GC registry's
+// critical section (roRegistry.add), so no collection pass can compute
+// its watermark between the two and prune a version the snapshot needs.
+func (e *Engine) beginReadOnly(id, pinSN uint64, p *probe) *roTx {
 	e.stats.BeginsRO.Inc()
-	var sn uint64
 	if pinSN > 0 {
 		// Pinned snapshot (BeginReadOnlyAt): read exactly at position
 		// pinSN — time travel into history, or read-your-writes when
@@ -34,18 +34,16 @@ func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
 		// already ran in BeginReadOnlyAt; re-check to keep the guarantee
 		// local rather than racy.
 		e.vc.WaitVisible(pinSN)
-		sn = pinSN
-	} else {
+	}
+	t := &roTx{e: e, id: id, p: p}
+	sn := pinSN
+	if e.opts.TrackReadOnly {
+		t.token, sn = e.roActive.add(e.vc, pinSN)
+		t.tracked = true
+	} else if sn == 0 {
 		sn = e.vc.Start()
 	}
-	t := &roTx{e: e, id: id, sn: sn}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.ProtoRO.String())
-	}
-	if e.opts.TrackReadOnly {
-		t.token = e.roActive.add(sn)
-		t.tracked = true
-	}
+	t.sn = sn
 	e.rec.RecordBegin(id, engine.ReadOnly)
 	engine.RecordSnapshot(e.rec, id, sn)
 	return t
@@ -57,17 +55,9 @@ func (e *Engine) beginReadOnly(id, pinSN uint64) *roTx {
 // phase timer's RO read row exists to prove exactly that: its samples
 // should sit at memory-access latency regardless of write load.
 func (t *roTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoRO, obs.PhaseRead)
-	start := time.Now()
+	start := t.p.begin(obs.PhaseRead)
 	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoRO, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
+	t.p.end(obs.PhaseRead, start)
 	return v, err
 }
 
@@ -122,7 +112,7 @@ func (t *roTx) Commit() error {
 	t.e.stats.CommitsRO.Inc()
 	// No visibility callback will ever name a read-only transaction
 	// (it registers nothing), so its trace finalizes here.
-	t.tr.FinishCommit()
+	t.p.finishCommit()
 	return nil
 }
 
@@ -135,7 +125,7 @@ func (t *roTx) Abort() {
 	t.finish()
 	t.e.rec.RecordAbort(t.id)
 	t.e.stats.AbortsUser.Inc()
-	t.tr.FinishAbort()
+	t.p.finishAbort()
 }
 
 func (t *roTx) finish() {

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 )
 
@@ -28,7 +26,7 @@ type tsoTx struct {
 	pending map[string]struct{} // keys holding our pending write
 	writes  map[string]bufWrite // retained write set (commit log)
 	done    bool
-	tr      *trace.Active // nil unless head-sampled
+	p       *probe // nil unless instrumented
 }
 
 func (e *Engine) beginTimestamp(id uint64) *tsoTx {
@@ -40,12 +38,9 @@ func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 		tn:      entry.TN(),
 		pending: make(map[string]struct{}),
 		writes:  make(map[string]bufWrite),
+		p:       e.newProbe(obs.ProtoTO, id),
 	}
-	if e.traces != nil {
-		// The serial order is fixed at begin, so the TN index is too.
-		t.tr = e.traces.Start(id, obs.ProtoTO.String())
-		t.tr.CommitTN(t.tn)
-	}
+	t.p.setTN(t.tn) // the serial order is fixed at begin
 	e.rec.RecordBegin(id, engine.ReadWrite)
 	return t
 }
@@ -56,17 +51,9 @@ func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 // on the whole read — including the object rule's wait inside TORead —
 // is attributed to the T/O read phase.
 func (t *tsoTx) Get(key string) ([]byte, error) {
-	ph := t.e.phases
-	if ph == nil && t.tr == nil {
-		return t.get(key)
-	}
-	ph.PprofEnter(obs.ProtoTO, obs.PhaseRead)
-	start := time.Now()
+	start := t.p.begin(obs.PhaseRead)
 	v, err := t.get(key)
-	d := time.Since(start)
-	ph.Record(obs.ProtoTO, obs.PhaseRead, t.id, d)
-	ph.PprofExit()
-	t.tr.Span(obs.PhaseRead.String(), start, d)
+	t.p.end(obs.PhaseRead, start)
 	return v, err
 }
 
@@ -135,29 +122,19 @@ func (t *tsoTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.appendWAL(obs.ProtoTO, t.id, t.tn, t.writes, t.tr); err != nil {
+	if err := t.e.appendWAL(t.p, t.tn, t.writes); err != nil {
 		t.abortInternal()
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	t.done = true
-	ph := t.e.phases
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.ProtoTO, obs.PhaseInstall)
-		tIns = time.Now()
-	}
+	start := t.p.begin(obs.PhaseInstall)
 	for key := range t.pending {
 		t.e.store.GetOrCreate(key).ResolvePending(t.tn, true)
 		t.e.rec.RecordWrite(t.id, key, t.tn)
 	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.ProtoTO, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
+	t.p.end(obs.PhaseInstall, start)
 	t.e.rec.RecordCommit(t.id, t.tn)
-	t.e.complete(t.entry, t.tr)
+	t.e.complete(t.entry, t.p)
 	t.e.stats.CommitsRW.Inc()
 	return nil
 }
@@ -181,7 +158,7 @@ func (t *tsoTx) abortInternal() {
 	}
 	t.e.vc.Discard(t.entry)
 	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
+	t.p.finishAbort()
 }
 
 // ID implements engine.Tx.

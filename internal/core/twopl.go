@@ -9,7 +9,6 @@ import (
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/storage"
-	"mvdb/internal/trace"
 	"mvdb/internal/vc"
 )
 
@@ -32,13 +31,8 @@ type twoPhaseTx struct {
 	entry vc.Handle // ablation A1 only: registered at begin
 	buf   map[string]bufWrite
 	done  bool
-	tn    uint64        // assigned at commit
-	tr    *trace.Active // nil unless this transaction was head-sampled
-	// lockedAt is the wall-clock instant of the first lock acquisition;
-	// zero unless the hotspot profiler is on. The release paths charge
-	// the full first-lock→release span to every held key's stripe as
-	// hold time — the 2PL growing+shrinking window the heatmap wants.
-	lockedAt time.Time
+	tn    uint64 // assigned at commit
+	p     *probe // nil unless instrumented
 }
 
 type bufWrite struct {
@@ -48,10 +42,8 @@ type bufWrite struct {
 
 func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
 	e.locks.Begin(id, e.ages.Add(1))
-	t := &twoPhaseTx{e: e, id: id, buf: make(map[string]bufWrite)}
-	if e.traces != nil {
-		t.tr = e.traces.Start(id, obs.Proto2PL.String())
-	}
+	t := &twoPhaseTx{e: e, id: id, buf: make(map[string]bufWrite), p: e.newProbe(obs.Proto2PL, id)}
+	e.live.put(id, t.p)
 	if e.opts.UnsafeEarlyRegister2PL {
 		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
 	}
@@ -127,8 +119,8 @@ func (t *twoPhaseTx) Delete(key string) error {
 func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 	err := t.e.locks.Acquire(t.id, key, mode)
 	if err == nil {
-		if t.e.hot != nil && t.lockedAt.IsZero() {
-			t.lockedAt = time.Now()
+		if t.e.hot != nil && t.p.lockedAt.IsZero() {
+			t.p.lockedAt = time.Now()
 		}
 		return nil
 	}
@@ -157,18 +149,19 @@ func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
 	return mapped
 }
 
-// recordHolds charges the first-lock→release span as hold time to every
+// release drops every lock the transaction holds. With the profiler on
+// it first charges the first-lock→release span as hold time to every
 // buffered write key's stripe (read-lock-only keys are not retained by
-// the transaction and are skipped). Called on both release paths, only
-// when the profiler is on.
-func (t *twoPhaseTx) recordHolds() {
-	if t.e.hot == nil || t.lockedAt.IsZero() {
-		return
+// the transaction and are skipped).
+func (t *twoPhaseTx) release() {
+	if t.e.hot != nil && !t.p.lockedAt.IsZero() {
+		held := time.Since(t.p.lockedAt)
+		for key := range t.buf {
+			t.e.hot.RecordHold(t.e.locks.StripeOf(key), held)
+		}
 	}
-	held := time.Since(t.lockedAt)
-	for key := range t.buf {
-		t.e.hot.RecordHold(t.e.locks.StripeOf(key), held)
-	}
+	t.e.locks.ReleaseAll(t.id)
+	t.e.live.take(t.id)
 }
 
 // Commit implements engine.Tx, following Figure 4's end(T) sequence:
@@ -192,38 +185,26 @@ func (t *twoPhaseTx) Commit() error {
 		entry = t.e.vc.Register() // the lock-point has been passed
 	}
 	t.tn = entry.TN()
-	t.tr.CommitTN(t.tn)
+	t.p.setTN(t.tn)
 
-	if err := t.e.appendWAL(obs.Proto2PL, t.id, t.tn, t.buf, t.tr); err != nil {
+	if err := t.e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		t.e.vc.Discard(entry)
-		t.recordHolds()
-		t.e.locks.ReleaseAll(t.id)
+		t.release()
 		t.e.rec.RecordAbort(t.id)
-		t.tr.FinishAbort()
+		t.p.finishAbort()
 		return fmt.Errorf("core: commit log: %w", err)
 	}
-	ph := t.e.phases
-	var tIns time.Time
-	if ph != nil || t.tr != nil {
-		ph.PprofEnter(obs.Proto2PL, obs.PhaseInstall)
-		tIns = time.Now()
-	}
+	start := t.p.begin(obs.PhaseInstall)
 	for key, w := range t.buf {
 		o := t.e.store.GetOrCreate(key)
 		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
 		t.e.rec.RecordWrite(t.id, key, t.tn)
 	}
-	if ph != nil || t.tr != nil {
-		d := time.Since(tIns)
-		ph.Record(obs.Proto2PL, obs.PhaseInstall, t.id, d)
-		ph.PprofExit()
-		t.tr.Span(obs.PhaseInstall.String(), tIns, d)
-	}
+	t.p.end(obs.PhaseInstall, start)
 	t.e.rec.RecordCommit(t.id, t.tn)
 
-	t.recordHolds()
-	t.e.locks.ReleaseAll(t.id)
-	t.e.complete(entry, t.tr)
+	t.release()
+	t.e.complete(entry, t.p)
 	t.e.stats.CommitsRW.Inc()
 	return nil
 }
@@ -242,13 +223,12 @@ func (t *twoPhaseTx) abortInternal() {
 		return
 	}
 	t.done = true
-	t.recordHolds()
-	t.e.locks.ReleaseAll(t.id)
+	t.release()
 	if t.entry != nil {
 		t.e.vc.Discard(t.entry)
 	}
 	t.e.rec.RecordAbort(t.id)
-	t.tr.FinishAbort()
+	t.p.finishAbort()
 }
 
 // ID implements engine.Tx.

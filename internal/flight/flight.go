@@ -1,8 +1,8 @@
-// Package flight is the engine's black-box flight recorder: an
-// always-on, bounded background sampler that keeps the last few minutes
-// of observability state in memory, and — on a trigger — writes a
-// self-contained JSON postmortem bundle describing what the engine was
-// doing when something went wrong.
+// Package flight is the engine's black-box flight recorder: on a
+// trigger it writes a self-contained JSON postmortem bundle describing
+// what the engine was doing when something went wrong. It keeps no
+// history of its own: a bundle's history is the health monitor's
+// timeline (internal/health), the one background sampler of Stats.
 //
 // The motivation mirrors an aircraft's black box: the PR-2 audit
 // pipeline and the PR-4 crash oracle tell us *that* serializability or
@@ -42,14 +42,15 @@ import (
 
 // SchemaVersion identifies the bundle format. Bump on any
 // backwards-incompatible change to Bundle's shape. v2 added the health
-// timeline section; v3 the hotspot report.
-const SchemaVersion = "mvdb-flight/v3"
+// timeline section; v3 the hotspot report; v4 dropped the recorder's
+// own stats ring, leaving the health section as the bundle's history.
+// Load still reads earlier versions (their stats ring is ignored).
+const SchemaVersion = "mvdb-flight/v4"
 
-// Sources are the read-only taps the recorder samples. Stats is
+// Sources are the read-only taps a bundle is assembled from. Stats is
 // required; every other tap is optional (nil omits its section from
 // bundles). All functions must be safe for concurrent use — they are
-// called from the sampler goroutine and from any goroutine that
-// triggers a bundle.
+// called from whichever goroutine triggers a bundle.
 type Sources struct {
 	// Stats returns the engine's observability snapshot.
 	Stats func() obs.Snapshot
@@ -65,8 +66,9 @@ type Sources struct {
 	// evidence") before returning.
 	Traces func() []trace.Trace
 	// Health returns the health monitor's recent base-resolution points
-	// (oldest first) — what the rates and percentiles were doing in the
-	// minutes before the trigger.
+	// (oldest first, see health.Monitor.History) — what the rates and
+	// percentiles were doing in the minutes before the trigger. It is
+	// the bundle's history.
 	Health func() []health.Point
 	// Hotspot returns the workload profiler's report — which keys and
 	// stripes were hot when the trigger fired (nil report omits the
@@ -81,11 +83,6 @@ type Options struct {
 	// FS is the filesystem bundles are written through (nil =
 	// faultfs.OS; the crash harness passes its shim).
 	FS faultfs.FS
-	// Interval is the background sampling cadence (<= 0: 1s).
-	Interval time.Duration
-	// Depth is the stats ring size — how many samples of history a
-	// bundle carries (<= 0: 64; at the default cadence ≈ one minute).
-	Depth int
 	// TraceTail bounds the trace events kept in a bundle (<= 0: 256).
 	TraceTail int
 	// MinGap rate-limits TriggerAsync: asynchronous triggers (audit
@@ -93,13 +90,6 @@ type Options struct {
 	// one bundle per MinGap (<= 0: 1s). Explicit Trigger calls are
 	// never limited.
 	MinGap time.Duration
-}
-
-// Sample is one background observation: a stats snapshot and when it
-// was taken.
-type Sample struct {
-	At    int64        `json:"at_ns"`
-	Stats obs.Snapshot `json:"stats"`
 }
 
 // Bundle is a self-contained postmortem document.
@@ -110,10 +100,9 @@ type Bundle struct {
 	Reason    string `json:"reason"`
 	Detail    string `json:"detail,omitempty"`
 
-	// Stats is the snapshot at trigger time; Ring the sampled history
-	// leading up to it (oldest first).
+	// Stats is the snapshot at trigger time; Health the history leading
+	// up to it.
 	Stats obs.Snapshot `json:"stats"`
-	Ring  []Sample     `json:"stats_ring,omitempty"`
 
 	Trace     []obs.Event     `json:"trace,omitempty"`
 	Audit     *audit.Snapshot `json:"audit,omitempty"`
@@ -130,10 +119,7 @@ type Recorder struct {
 	opts Options
 	fsys faultfs.FS
 
-	mu      sync.Mutex // guards ring state and serializes bundle writes
-	ring    []Sample   // circular, ringN valid entries ending at ringPos-1
-	ringPos int
-	ringN   int
+	mu sync.Mutex // serializes bundle writes
 
 	seq         atomic.Uint64 // bundles written
 	lastAsync   atomic.Int64  // unix ns of the last async-triggered bundle
@@ -148,19 +134,13 @@ type Recorder struct {
 
 type trigReq struct{ reason, detail string }
 
-// New starts a recorder: the sampling goroutine begins immediately.
+// New starts a recorder and the goroutine that serves TriggerAsync.
 func New(src Sources, opts Options) (*Recorder, error) {
 	if src.Stats == nil {
 		return nil, errors.New("flight: Sources.Stats is required")
 	}
 	if opts.Dir == "" {
 		return nil, errors.New("flight: Options.Dir is required")
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
-	if opts.Depth <= 0 {
-		opts.Depth = 64
 	}
 	if opts.TraceTail <= 0 {
 		opts.TraceTail = 256
@@ -178,41 +158,24 @@ func New(src Sources, opts Options) (*Recorder, error) {
 		src:      src,
 		opts:     opts,
 		fsys:     opts.FS,
-		ring:     make([]Sample, opts.Depth),
 		triggers: make(chan trigReq, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	r.sample() // bundles carry at least one pre-trigger sample immediately
 	go r.run()
 	return r, nil
 }
 
 func (r *Recorder) run() {
 	defer close(r.done)
-	tick := time.NewTicker(r.opts.Interval)
-	defer tick.Stop()
 	for {
 		select {
-		case <-tick.C:
-			r.sample()
 		case tr := <-r.triggers:
 			r.Trigger(tr.reason, tr.detail) // errors already logged by Trigger's caller contract
 		case <-r.quit:
 			return
 		}
 	}
-}
-
-func (r *Recorder) sample() {
-	s := Sample{At: time.Now().UnixNano(), Stats: r.src.Stats()}
-	r.mu.Lock()
-	r.ring[r.ringPos] = s
-	r.ringPos = (r.ringPos + 1) % len(r.ring)
-	if r.ringN < len(r.ring) {
-		r.ringN++
-	}
-	r.mu.Unlock()
 }
 
 // Trigger assembles and writes a bundle now, returning its path. It is
@@ -240,7 +203,7 @@ func (r *Recorder) Trigger(reason, detail string) (string, error) {
 }
 
 // TriggerAsync requests a bundle without blocking the caller: the write
-// happens on the sampler goroutine. At most one bundle per MinGap is
+// happens on the recorder's goroutine. At most one bundle per MinGap is
 // produced this way — the path for hooks that can fire per-commit, like
 // the audit pipeline's OnAlarm. Safe to call after Close (no-op).
 func (r *Recorder) TriggerAsync(reason, detail string) {
@@ -268,16 +231,6 @@ func (r *Recorder) assemble(reason, detail string) Bundle {
 		Detail:    detail,
 		Stats:     r.src.Stats(),
 	}
-	r.mu.Lock()
-	b.Ring = make([]Sample, 0, r.ringN)
-	start := r.ringPos - r.ringN
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.ringN; i++ {
-		b.Ring = append(b.Ring, r.ring[(start+i)%len(r.ring)])
-	}
-	r.mu.Unlock()
 	if r.src.Trace != nil {
 		tr := r.src.Trace()
 		if len(tr) > r.opts.TraceTail {
@@ -321,7 +274,7 @@ func (r *Recorder) LastBundle() string {
 	return p
 }
 
-// Close stops the sampler. Pending async triggers are dropped; explicit
+// Close stops the recorder. Pending async triggers are dropped; explicit
 // Trigger calls fail afterwards.
 func (r *Recorder) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
@@ -351,7 +304,7 @@ func (r *Recorder) HTTPHandler() http.Handler {
 // — the crash-torture harness's path: when an oracle fires there is no
 // long-lived recorder, just an engine to photograph before teardown.
 func Capture(src Sources, fsys faultfs.FS, dir, reason, detail string) (string, error) {
-	r, err := New(src, Options{Dir: dir, FS: fsys, Interval: time.Hour})
+	r, err := New(src, Options{Dir: dir, FS: fsys})
 	if err != nil {
 		return "", err
 	}

@@ -16,11 +16,13 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/flight"
+	"mvdb/internal/health"
 	"mvdb/internal/obs"
 )
 
 // newEngineRecorder builds a phase-timed core engine plus a flight
-// recorder tapped into all four sources.
+// recorder tapped into its sources, with a health monitor ticking every
+// millisecond as the bundle history.
 func newEngineRecorder(t *testing.T, opts core.Options, fopts flight.Options) (*core.Engine, *flight.Recorder) {
 	t.Helper()
 	tracer := obs.NewTracer(512)
@@ -31,10 +33,18 @@ func newEngineRecorder(t *testing.T, opts core.Options, fopts flight.Options) (*
 	if fopts.Dir == "" {
 		fopts.Dir = t.TempDir()
 	}
+	mon, err := health.New(health.Sources{Stats: e.Snapshot}, health.Options{Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Tick(time.Now())
+	mon.Start()
+	t.Cleanup(mon.Stop)
 	r, err := flight.New(flight.Sources{
 		Stats:     e.Snapshot,
 		Trace:     tracer.Dump,
 		WaitGraph: e.LockWaitGraph,
+		Health:    func() []health.Point { return mon.History(time.Now()) },
 	}, fopts)
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
@@ -50,7 +60,7 @@ func newEngineRecorder(t *testing.T, opts core.Options, fopts flight.Options) (*
 func TestConcurrentTriggers(t *testing.T) {
 	dir := t.TempDir()
 	e, r := newEngineRecorder(t, core.Options{Protocol: core.TwoPhaseLocking},
-		flight.Options{Dir: dir, Interval: time.Millisecond, MinGap: time.Nanosecond})
+		flight.Options{Dir: dir, MinGap: time.Nanosecond})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -120,7 +130,7 @@ func TestConcurrentTriggers(t *testing.T) {
 		if b.Schema != flight.SchemaVersion {
 			t.Fatalf("schema = %q, want %q", b.Schema, flight.SchemaVersion)
 		}
-		if len(b.Ring) == 0 {
+		if len(b.Health) == 0 {
 			t.Fatalf("%s: bundle carries no sampled history", ent.Name())
 		}
 		flight.Render(b, io.Discard)
@@ -169,7 +179,7 @@ func TestAuditAlarmWritesBundle(t *testing.T) {
 		Stats: e.Snapshot,
 		Trace: tracer.Dump,
 		Audit: aud.Snapshot,
-	}, flight.Options{Dir: dir, Interval: time.Hour, MinGap: time.Nanosecond})
+	}, flight.Options{Dir: dir, MinGap: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestAuditAlarmWritesBundle(t *testing.T) {
 func TestHTTPHandlerDump(t *testing.T) {
 	dir := t.TempDir()
 	_, r := newEngineRecorder(t, core.Options{Protocol: core.Optimistic},
-		flight.Options{Dir: dir, Interval: time.Hour})
+		flight.Options{Dir: dir})
 
 	srv := httptest.NewServer(r.HTTPHandler())
 	defer srv.Close()
@@ -303,11 +313,37 @@ func TestCaptureOneShot(t *testing.T) {
 // TestCloseSemantics: Trigger fails after Close, TriggerAsync is a
 // no-op, double Close is safe.
 func TestCloseSemantics(t *testing.T) {
-	_, r := newEngineRecorder(t, core.Options{}, flight.Options{Dir: t.TempDir(), Interval: time.Hour})
+	_, r := newEngineRecorder(t, core.Options{}, flight.Options{Dir: t.TempDir()})
 	r.Close()
 	r.Close()
 	if _, err := r.Trigger("x", ""); err == nil {
 		t.Fatal("Trigger after Close should fail")
 	}
 	r.TriggerAsync("x", "")
+}
+
+// TestLoadAcceptsV3 reads a bundle from before the recorder dropped its
+// own stats ring: the v3 history section is ignored, everything else
+// loads and renders.
+func TestLoadAcceptsV3(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight-000001-dump.json")
+	v3 := `{"schema": "mvdb-flight/v3", "seq": 1, "reason": "dump",
+		"stats": {"protocol": "vc+2pl", "commits_rw": 3},
+		"stats_ring": [{"at_ns": 1, "stats": {"protocol": "vc+2pl"}}],
+		"health": [{"at_ns": 2, "dur_ns": 1000000000, "ops": 3}]}`
+	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := flight.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Schema != "mvdb-flight/v3" || b.Stats.CommitsRW != 3 || len(b.Health) != 1 {
+		t.Fatalf("v3 bundle loaded as %+v", b)
+	}
+	var sb strings.Builder
+	flight.Render(b, &sb)
+	if !strings.Contains(sb.String(), "history: 1 health points") {
+		t.Fatalf("render missing the health history line:\n%s", sb.String())
+	}
 }

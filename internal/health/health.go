@@ -662,6 +662,29 @@ func (m *Monitor) Points(level, n int) []Point {
 	return r.last(n)
 }
 
+// History returns the base-resolution points, oldest first, followed
+// by the interval still in progress at now — what Tick(now) would
+// produce, computed without recording it (no ring push, no SLO
+// evaluation, no signal). It is the flight recorder's history: a bundle
+// written between ticks still shows the engine up to the trigger. The
+// in-progress point is omitted before the first Tick.
+func (m *Monitor) History(now time.Time) []Point {
+	if m == nil {
+		return nil
+	}
+	sn := m.src.Stats()
+	lat := m.rwLat.Buckets()
+	ctrs := m.sampleCounters()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := &m.levels[0].ring
+	pts := r.last(r.n)
+	if m.havePrev {
+		pts = append(pts, diffPoint(m.prev, sn, m.prevAt, now, &m.prevLat, &lat, m.prevCtrs, ctrs))
+	}
+	return pts
+}
+
 // PointsTotal returns the number of level-0 points ever produced.
 func (m *Monitor) PointsTotal() int64 {
 	if m == nil {

@@ -68,7 +68,7 @@ type StripeHeat struct {
 }
 
 // Report is an immutable snapshot of the profiler, embedded in
-// obs.Snapshot, flight bundles (schema mvdb-flight/v3), and the
+// obs.Snapshot, flight bundles (since schema mvdb-flight/v3), and the
 // /debug/mvdb/hotspot endpoint.
 type Report struct {
 	Enabled     bool   `json:"enabled"`

@@ -291,11 +291,6 @@ type AdaptiveInfo struct {
 	BatchMaxRecords int   `json:"batch_max_records,omitempty"`
 	BatchMaxDelayNS int64 `json:"batch_max_delay_ns,omitempty"`
 	PublishEvery    int   `json:"publish_every,omitempty"`
-	// RecommendedStripes is the controller's boot-time advice (0 = no
-	// recommendation): the lock-stripe count it would pick given the
-	// observed per-stripe skew. Stripes are recommend-only because the
-	// stripe table is sized at construction — see DESIGN.md §13.
-	RecommendedStripes int `json:"recommended_stripes,omitempty"`
 }
 
 // Snapshot reads the registry. Reads are ordered so that a snapshot

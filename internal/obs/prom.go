@@ -301,8 +301,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		p.Value("mvdb_adaptive_batch_max_delay_seconds", float64(a.BatchMaxDelayNS)/1e9)
 		p.Header("mvdb_adaptive_publish_every", "gauge", "Current epoch publish-coalescing factor (0 when the epoch knob is not wired).")
 		p.Int("mvdb_adaptive_publish_every", int64(a.PublishEvery))
-		p.Header("mvdb_adaptive_recommended_stripes", "gauge", "Lock-stripe count the controller recommends for the next boot (0 = no recommendation).")
-		p.Int("mvdb_adaptive_recommended_stripes", int64(a.RecommendedStripes))
 	}
 
 	p.Header("mvdb_build_info", "gauge", "Process build identity (constant 1; identity in labels).")

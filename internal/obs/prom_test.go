@@ -309,14 +309,13 @@ func TestWritePromCompleteness(t *testing.T) {
 			}))
 		case f.Type == reflect.TypeOf((*AdaptiveInfo)(nil)):
 			fv.Set(reflect.ValueOf(&AdaptiveInfo{
-				Protocol:           "vc+2pl",
-				Switches:           1,
-				HealthSignals:      2,
-				KnobActions:        3,
-				BatchMaxRecords:    128,
-				BatchMaxDelayNS:    500_000,
-				PublishEvery:       2,
-				RecommendedStripes: 64,
+				Protocol:        "vc+2pl",
+				Switches:        1,
+				HealthSignals:   2,
+				KnobActions:     3,
+				BatchMaxRecords: 128,
+				BatchMaxDelayNS: 500_000,
+				PublishEvery:    2,
 			}))
 		case fv.CanInt():
 			fv.SetInt(7)
@@ -377,7 +376,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"mvdb_adaptive_batch_max_records",
 		"mvdb_adaptive_batch_max_delay_seconds",
 		"mvdb_adaptive_publish_every",
-		"mvdb_adaptive_recommended_stripes",
 	} {
 		if !emitted[fam] {
 			t.Errorf("%s missing from exposition", fam)

@@ -169,8 +169,6 @@ type Tracer struct {
 	rng  atomic.Uint64
 
 	mu       sync.Mutex
-	byTx     map[uint64]*Active
-	byTN     map[uint64]*Active
 	recent   []*Trace
 	recentN  uint64 // total pushes into recent
 	promoted []*Trace
@@ -206,8 +204,6 @@ func New(opts Options) *Tracer {
 	}
 	t := &Tracer{
 		opts:     opts,
-		byTx:     make(map[uint64]*Active),
-		byTN:     make(map[uint64]*Active),
 		recent:   make([]*Trace, opts.Recent),
 		promoted: make([]*Trace, opts.Promoted),
 		hists:    make(map[string]*metrics.Histogram),
@@ -265,9 +261,6 @@ func (t *Tracer) Start(tx uint64, proto string) *Active {
 		StartNS: time.Now().UnixNano(),
 		Spans:   make([]Span, 0, 8),
 	}
-	t.mu.Lock()
-	t.byTx[tx] = a
-	t.mu.Unlock()
 	return a
 }
 
@@ -279,11 +272,6 @@ func (a *Active) ID() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.tr.ID
-}
-
-// Span records a local span that started at start and ran for d.
-func (a *Active) Span(name string, start time.Time, d time.Duration) {
-	a.SpanAt(name, -1, start.UnixNano(), d.Nanoseconds())
 }
 
 // SpanSite records a span attributed to a participant site, measured
@@ -318,8 +306,7 @@ func (a *Active) Blame(b Blame) {
 }
 
 // CommitTN records the serialization number once known (lock point /
-// validation / begin, depending on protocol) and indexes the trace by
-// it so the visibility observer can find us at drain time.
+// validation / begin, depending on protocol).
 func (a *Active) CommitTN(tn uint64) {
 	if a == nil {
 		return
@@ -327,52 +314,16 @@ func (a *Active) CommitTN(tn uint64) {
 	a.mu.Lock()
 	a.tr.TN = tn
 	a.mu.Unlock()
-	a.t.mu.Lock()
-	a.t.byTN[tn] = a
-	a.t.mu.Unlock()
 }
 
-// OnLockWait is the lock manager's wait-observer hook: transaction txID
-// waited `wait` on key (hashed to stripe) behind blocker. Runs on the
-// waiter's goroutine outside all lock-manager mutexes.
-func (t *Tracer) OnLockWait(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	a := t.byTx[txID]
-	t.mu.Unlock()
+// FinishVisible finalizes a committed trace at visibleNS, the instant
+// the version-control drain made the commit visible — the end of a
+// read-write transaction's last span (visible-wait).
+func (a *Active) FinishVisible(visibleNS int64) {
 	if a == nil {
 		return
 	}
-	now := time.Now().UnixNano()
-	a.SpanAt(obs.PhaseLockWait.String(), -1, now-wait.Nanoseconds(), wait.Nanoseconds())
-	a.Blame(Blame{
-		Kind:   BlameBlockedOn,
-		Phase:  obs.PhaseLockWait.String(),
-		Tx:     blocker,
-		Key:    key,
-		Stripe: stripe,
-		DurNS:  wait.Nanoseconds(),
-	})
-}
-
-// OnVisible is the VC drain hook: transaction tn became visible d after
-// registering. Called under the controller mutex, so it must not call
-// back into vc; it appends the visible-wait span and finalizes.
-func (t *Tracer) OnVisible(tn uint64, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	a := t.byTN[tn]
-	t.mu.Unlock()
-	if a == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	a.SpanAt(obs.PhaseVisibleWait.String(), -1, now-d.Nanoseconds(), d.Nanoseconds())
-	t.finalize(a, "commit", now)
+	a.t.finalize(a, "commit", visibleNS)
 }
 
 // FinishCommit finalizes a committed trace that will see no visibility
@@ -414,8 +365,6 @@ func (t *Tracer) finalize(a *Active, outcome string, visibleNS int64) {
 	}
 	a.tr.TotalNS = end - a.tr.StartNS
 	tr := a.tr // value copy; Spans/Blames are no longer mutated
-	tn := a.tr.TN
-	tx := a.tr.Tx
 	a.mu.Unlock()
 
 	t.finished.Add(1)
@@ -423,10 +372,6 @@ func (t *Tracer) finalize(a *Active, outcome string, visibleNS int64) {
 	tr.Promoted = reason
 
 	t.mu.Lock()
-	delete(t.byTx, tx)
-	if tn != 0 {
-		delete(t.byTN, tn)
-	}
 	if reason != "" {
 		t.pushPromotedLocked(&tr)
 	} else {

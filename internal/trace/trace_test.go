@@ -95,18 +95,16 @@ func TestNilSafety(t *testing.T) {
 	if a != nil {
 		t.Fatal("nil tracer sampled")
 	}
-	a.Span("x", time.Now(), time.Millisecond)
 	a.SpanSite("x", 2, time.Now())
 	a.SpanAt("x", -1, 0, 0)
 	a.Blame(Blame{Kind: BlameBlockedOn})
 	a.CommitTN(7)
+	a.FinishVisible(time.Now().UnixNano())
 	a.FinishCommit()
 	a.FinishAbort()
 	if a.ID() != 0 {
 		t.Fatal("nil Active has an ID")
 	}
-	tr.OnLockWait(1, "k", 0, 2, time.Millisecond)
-	tr.OnVisible(7, time.Millisecond)
 	if tr.PromoteRecent("x", 3) != 0 {
 		t.Fatal("nil tracer promoted")
 	}
@@ -135,7 +133,9 @@ func TestLifecyclePromotionAndExport(t *testing.T) {
 	a.Blame(Blame{Kind: BlameJoinedBatch, Phase: "fsync-wait", Tx: 9, Batch: 4, Records: 12, DurNS: int64(2 * time.Millisecond)})
 	a.CommitTN(9001)
 	a.Blame(Blame{Kind: BlameQueuedBehind, Phase: "visible-wait", Tx: 9000, Depth: 2})
-	tr.OnVisible(9001, 3*time.Millisecond)
+	now := time.Now().UnixNano()
+	a.SpanAt("visible-wait", -1, now-int64(3*time.Millisecond), int64(3*time.Millisecond))
+	a.FinishVisible(now)
 
 	// Finalized via the visibility callback: promoted as slow.
 	prom := tr.Promoted()
@@ -152,7 +152,7 @@ func TestLifecyclePromotionAndExport(t *testing.T) {
 	if got.VisibleNS == 0 || got.TotalNS <= 0 {
 		t.Fatalf("visibility timing missing: %+v", got)
 	}
-	// visible-wait span appended by OnVisible.
+	// visible-wait span recorded before FinishVisible.
 	names := map[string]bool{}
 	for _, s := range got.Spans {
 		names[s.Name] = true
@@ -397,7 +397,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	a.SpanAt("install", -1, 10, 20)
 	a.Blame(Blame{Kind: BlameQueuedBehind, Phase: "visible-wait", Tx: 5, Depth: 1})
 	a.CommitTN(6)
-	tr.OnVisible(6, time.Microsecond)
+	a.FinishVisible(time.Now().UnixNano())
 
 	d := Dump{Stats: tr.Stats(), Promoted: tr.Promoted(), Recent: tr.Recent()}
 	data, err := json.Marshal(d)

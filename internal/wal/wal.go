@@ -304,31 +304,24 @@ func OpenAppendWith(path string, validLen int64, opts Options) (*Writer, error) 
 // SyncEveryCommit and SyncBatch; under SyncBatch the caller blocked on a
 // shared fsync ticket rather than issuing its own.
 func (w *Writer) Append(r Record) error {
-	_, _, _, err := w.append(r, false, false)
+	_, _, _, err := w.append(r, false)
 	return err
 }
 
-// AppendTimed is Append reporting where the caller's time went:
-// enqueueNS is the span from entry to the record sitting in the log
-// buffer (including contention on the writer mutex), syncWaitNS the
-// span from there to fsync coverage — the inline flush+sync under
-// SyncEveryCommit, or the wait for the group-commit flusher's ticket
-// under SyncBatch (zero under SyncNever). Both are valid even when err
-// is non-nil. The phase-attribution layer calls this; everyone else
-// uses Append and pays no timestamping.
-func (w *Writer) AppendTimed(r Record) (enqueueNS, syncWaitNS int64, err error) {
-	_, enqueueNS, syncWaitNS, err = w.append(r, true, false)
-	return enqueueNS, syncWaitNS, err
-}
-
-// AppendTraced is AppendTimed plus group-commit provenance: it also
-// reports which fsync batch covered the record (see BatchInfo), the
-// joined-batch blame edge of causal tracing.
+// AppendTraced is Append reporting where the caller's time went and
+// which fsync batch covered the record (see BatchInfo, the joined-batch
+// blame edge of causal tracing). enqueueNS is the span from entry to
+// the record sitting in the log buffer (including contention on the
+// writer mutex), syncWaitNS the span from there to fsync coverage — the
+// inline flush+sync under SyncEveryCommit, or the wait for the
+// group-commit flusher's ticket under SyncBatch (zero under SyncNever).
+// Both are valid even when err is non-nil. A transaction's probe calls
+// this; everyone else uses Append and pays no timestamping.
 func (w *Writer) AppendTraced(r Record) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
-	return w.append(r, true, true)
+	return w.append(r, true)
 }
 
-func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
+func (w *Writer) append(r Record, timed bool) (info BatchInfo, enqueueNS, syncWaitNS int64, err error) {
 	payload := encodePayload(nil, r)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -368,7 +361,7 @@ func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS
 			err = fmt.Errorf("wal: sync: %w", err)
 		} else {
 			w.fsyncs.Add(1)
-			if traced {
+			if timed {
 				// A degenerate "batch" of one: the record led its own fsync.
 				info = BatchInfo{Batch: w.fsyncs.Load(), LeaderTN: r.TN, Records: 1}
 			}
@@ -392,7 +385,7 @@ func (w *Writer) append(r Record, timed, traced bool) (info BatchInfo, enqueueNS
 			syncWaitNS = time.Since(tEnq).Nanoseconds()
 		}
 		if w.syncSeq >= seq {
-			if traced {
+			if timed {
 				for i := range w.batchLog {
 					if b := &w.batchLog[i]; b.hi != 0 && b.lo <= seq && seq <= b.hi {
 						info = BatchInfo{Batch: b.batch, LeaderTN: b.leader, Records: b.records}

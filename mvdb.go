@@ -257,17 +257,16 @@ type Options struct {
 	// this outright, before the per-protocol p99 estimate has warmed up
 	// (0 = rely on p99 and aborts alone).
 	TraceSlowThreshold time.Duration
-	// FlightDir enables the black-box flight recorder: a background
-	// sampler keeps recent Stats history, and on an audit alarm (when
-	// Audit is on), a GET of /debug/mvdb/dump (when DebugAddr is set),
-	// or an explicit DB.Flight().Trigger call, a self-contained JSON
-	// postmortem bundle is written atomically into this directory.
-	// Render bundles with `mvinspect -bundle <file>`. Empty — the
-	// default — runs no recorder.
+	// FlightDir enables the black-box flight recorder: on an audit alarm
+	// (when Audit is on), a paging SLO alarm (when Health is on), a GET
+	// of /debug/mvdb/dump (when DebugAddr is set), or an explicit
+	// DB.Flight().Trigger call, a self-contained JSON postmortem bundle
+	// is written atomically into this directory. A bundle's history is
+	// the health timeline: with Health off, FlightDir runs the health
+	// monitor anyway, with no SLOs, as the Stats sampler (ticking every
+	// HealthInterval). Render bundles with `mvinspect -bundle <file>`.
+	// Empty — the default — runs no recorder.
 	FlightDir string
-	// FlightInterval is the flight recorder's background sampling
-	// cadence (0 = 1s).
-	FlightInterval time.Duration
 	// Hotspot enables the contention cartographer: a lock-free sampling
 	// profiler that keeps heavy-hitter sketches of hot keys (reads and
 	// writes separately), a per-stripe lock-contention heatmap, conflict
@@ -298,7 +297,8 @@ type Options struct {
 	// /metrics gains the mvdb_health_* families. Off — the default —
 	// keeps every commit path at a single pointer test.
 	Health bool
-	// HealthInterval is the monitor's base sampling period (0 = 1s).
+	// HealthInterval is the monitor's base sampling period (0 = 1s),
+	// with or without Health: FlightDir's sampler ticks at it too.
 	HealthInterval time.Duration
 	// HealthSLOs are the objectives the monitor evaluates. Empty selects
 	// a conservative default set (commit p99, abort fraction, visibility
@@ -515,9 +515,6 @@ func Open(opts Options) (*DB, error) {
 		if ec, ok := eng.VC().(*epoch.Controller); ok {
 			adOpts.Epoch = ec
 		}
-		if prof != nil {
-			adOpts.Hotspot = prof.Report
-		}
 		db.ad = adaptive.Wrap(eng, adOpts)
 		db.rw = db.ad
 	}
@@ -550,10 +547,16 @@ func Open(opts Options) (*DB, error) {
 	if opts.GCInterval > 0 {
 		db.collector.Start()
 	}
-	if opts.Health {
-		slos := opts.HealthSLOs
-		if len(slos) == 0 {
-			slos = DefaultHealthSLOs()
+	// The health monitor is the one background sampler of Stats. With
+	// Health off it still runs, SLO-free, when the flight recorder needs
+	// a history for its bundles.
+	if opts.Health || opts.FlightDir != "" {
+		var slos []HealthSLO
+		if opts.Health {
+			slos = opts.HealthSLOs
+			if len(slos) == 0 {
+				slos = DefaultHealthSLOs()
+			}
 		}
 		mon, err := health.New(health.Sources{
 			Stats: db.Stats,
@@ -601,11 +604,16 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("mvdb: health monitor: %w", err)
 		}
 		db.monitor = mon
-		if db.ad != nil {
+		if db.ad != nil && opts.Health {
 			// The health timeline becomes the protocol switcher's policy
 			// input: its interval abort fraction replaces the internal
 			// every-N-completions sampling.
 			mon.Subscribe(db.ad.OnHealth)
+		}
+		if !opts.Health {
+			// Prime the sampler so a bundle written before the first
+			// tick still carries the interval since Open.
+			mon.Tick(time.Now())
 		}
 		mon.Start()
 	}
@@ -628,13 +636,11 @@ func Open(opts Options) (*DB, error) {
 				return spans.Promoted()
 			}
 		}
-		if db.monitor != nil {
-			src.Health = func() []health.Point { return db.monitor.Points(0, 0) }
-		}
+		src.Health = func() []health.Point { return db.monitor.History(time.Now()) }
 		if prof != nil {
 			src.Hotspot = prof.Report
 		}
-		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir, Interval: opts.FlightInterval})
+		rec, err := flight.New(src, flight.Options{Dir: opts.FlightDir})
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("mvdb: flight recorder: %w", err)
@@ -827,11 +833,10 @@ func (db *DB) Stats() Stats {
 	sn := db.eng.Snapshot()
 	if db.ad != nil {
 		info := &obs.AdaptiveInfo{
-			Protocol:           db.eng.Protocol().String(),
-			Switches:           int64(db.ad.Switches()),
-			HealthSignals:      int64(db.ad.HealthSignals()),
-			KnobActions:        int64(db.ad.KnobActions()),
-			RecommendedStripes: db.ad.RecommendedStripes(),
+			Protocol:      db.eng.Protocol().String(),
+			Switches:      int64(db.ad.Switches()),
+			HealthSignals: int64(db.ad.HealthSignals()),
+			KnobActions:   int64(db.ad.KnobActions()),
 		}
 		if db.log != nil {
 			recs, delay := db.log.BatchKnobs()
@@ -843,10 +848,9 @@ func (db *DB) Stats() Stats {
 		}
 		sn.Adaptive = info
 		sn.Extra = map[string]int64{
-			"adaptive.switches":            int64(db.ad.Switches()),
-			"adaptive.health_signals":      int64(db.ad.HealthSignals()),
-			"adaptive.knob_actions":        int64(db.ad.KnobActions()),
-			"adaptive.recommended_stripes": int64(db.ad.RecommendedStripes()),
+			"adaptive.switches":       int64(db.ad.Switches()),
+			"adaptive.health_signals": int64(db.ad.HealthSignals()),
+			"adaptive.knob_actions":   int64(db.ad.KnobActions()),
 		}
 	}
 	return sn
@@ -873,10 +877,11 @@ func (db *DB) Audit() *Auditor { return db.auditor }
 // bundle on demand; Flight().LastBundle reports the newest bundle path.
 func (db *DB) Flight() *Flight { return db.flightRec }
 
-// Health returns the windowed health monitor, or nil when
-// Options.Health was off. Health().Timeline exports the retained
-// points; Health().SLOStates the objectives' burn-rate state. Render
-// live with `mvinspect -health`.
+// Health returns the windowed health monitor, or nil when both
+// Options.Health and Options.FlightDir were off (FlightDir alone runs it
+// with no SLOs, as the flight recorder's sampler). Health().Timeline
+// exports the retained points; Health().SLOStates the objectives'
+// burn-rate state. Render live with `mvinspect -health`.
 func (db *DB) Health() *HealthMonitor { return db.monitor }
 
 // HotspotReport is the workload profiler's point-in-time report (see
