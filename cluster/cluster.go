@@ -36,14 +36,14 @@ type Options struct {
 	// this directory): Open resumes from existing logs, and
 	// CrashSite/RecoverSite model fail-stop site failures.
 	WALDir string
-	// MaxUpdateRetries bounds Update's automatic retries (default 100).
-	MaxUpdateRetries int
 }
+
+// maxUpdateRetries bounds Update's automatic retries.
+const maxUpdateRetries = 100
 
 // Cluster is an open distributed database.
 type Cluster struct {
-	c       *dist.Cluster
-	retries int
+	c *dist.Cluster
 }
 
 // Open creates a cluster.
@@ -58,11 +58,7 @@ func Open(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	retries := opts.MaxUpdateRetries
-	if retries <= 0 {
-		retries = 100
-	}
-	return &Cluster{c: c, retries: retries}, nil
+	return &Cluster{c: c}, nil
 }
 
 // Close shuts the cluster down.
@@ -139,7 +135,7 @@ func (c *Cluster) View(fn func(*Tx) error) error {
 // resolution).
 func (c *Cluster) Update(fn func(*Tx) error) error {
 	var last error
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for attempt := 0; attempt < maxUpdateRetries; attempt++ {
 		tx, err := c.Begin()
 		if err != nil {
 			return err

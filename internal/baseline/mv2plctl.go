@@ -355,7 +355,7 @@ func (t *ctlRWTx) Delete(key string) error {
 }
 
 func (t *ctlRWTx) acquire(key string, mode lock.Mode) error {
-	err := t.e.locks.Acquire(t.id, key, mode)
+	_, err := t.e.locks.Acquire(t.id, key, mode)
 	if err == nil {
 		return nil
 	}
@@ -381,7 +381,7 @@ func (t *ctlRWTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if t.e.locks.Wounded(t.id) {
+	if _, wounded := t.e.locks.Wounded(t.id); wounded {
 		t.e.abortsDeadlock.Add(1)
 		t.abortInternal()
 		return engine.ErrWounded

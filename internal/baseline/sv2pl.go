@@ -168,7 +168,7 @@ func (t *svTx) write(key string, w bufWrite) error {
 }
 
 func (t *svTx) acquire(key string, mode lock.Mode) error {
-	err := t.e.locks.Acquire(t.id, key, mode)
+	_, err := t.e.locks.Acquire(t.id, key, mode)
 	if err == nil {
 		return nil
 	}
@@ -194,7 +194,7 @@ func (t *svTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if t.e.locks.Wounded(t.id) {
+	if _, wounded := t.e.locks.Wounded(t.id); wounded {
 		t.e.abortsDeadlock.Add(1)
 		t.abortInternal()
 		return engine.ErrWounded

@@ -75,8 +75,6 @@ type Options struct {
 	// LockStripes sets the lock table's stripe count (rounded up to a
 	// power of two; 0 = lock.DefaultStripes, 1 = a single global table).
 	LockStripes int
-	// Shards is the store shard count (0 = default).
-	Shards int
 	// Visibility selects the version-control implementation: the
 	// paper's strict drain queue (default) or the epoch watermark
 	// (internal/vc/epoch), which decentralizes completion tracking and
@@ -160,11 +158,10 @@ type Engine struct {
 	phases *obs.PhaseStats
 	// traces is the causal span tracer; nil unless Options.Traces.
 	traces *trace.Tracer
-	// live indexes 2PL probes by transaction id for the lock manager's
-	// wait observer; pending indexes completed read-write probes by
-	// transaction number for the VC drain's visibility observer. Both
-	// are nil unless phase timing or tracing is on.
-	live, pending *probeIndex
+	// pending indexes completed read-write probes by transaction number
+	// for the VC drain's visibility observer; nil unless phase timing
+	// or tracing is on.
+	pending *probeIndex
 	// hot is the workload profiler; nil unless Options.Hotspot (nil
 	// keeps every touch/conflict hook to one nil test).
 	hot             *hotspot.Profiler
@@ -190,25 +187,16 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		opts:  opts,
-		store: storage.NewStore(opts.Shards),
+		store: storage.NewStore(0), // the default 64 shards
 		vc:    newController(opts.Visibility, 0),
 		rec:   engine.Multi(opts.Recorder, tracerRec),
 		stats: obs.NewStats(),
 	}
 	// The lock manager exists regardless of the initial protocol so that
-	// SetProtocol can swap to two-phase locking later. Its wait observer
-	// feeds the wait-time histogram and (when tracing) lock-wait events.
+	// SetProtocol can swap to two-phase locking later.
 	e.locks = lock.NewManagerStriped(opts.LockPolicy, opts.LockTimeout, opts.LockStripes)
 	e.traces = opts.Traces
 	e.hot = opts.Hotspot
-	e.locks.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
-		e.stats.LockWaitNanos.Record(wait.Nanoseconds())
-		// Every hook below is nil-safe: without a timing sink live is
-		// nil and so is the probe it returns.
-		e.live.get(txID).lockWait(key, stripe, blocker, wait)
-		e.hot.RecordStripeWait(stripe, wait)
-		opts.Trace.Record(obs.Event{Type: obs.EvLockWait, Tx: txID, Key: key, Dur: wait.Nanoseconds()})
-	})
 	if e.hot != nil {
 		e.hot.BindStripes(e.locks.Stripes())
 		e.bindHotVC()
@@ -217,7 +205,7 @@ func New(opts Options) *Engine {
 		e.phases = obs.NewPhaseStats(opts.Trace)
 	}
 	if opts.PhaseTiming || opts.Traces != nil {
-		e.live, e.pending = newProbeIndex(), newProbeIndex()
+		e.pending = newProbeIndex()
 		e.observeVC()
 	}
 	e.protocol.Store(int32(opts.Protocol))
@@ -322,7 +310,6 @@ func (e *Engine) Begin(class engine.Class) (engine.Tx, error) {
 	if class == engine.ReadOnly {
 		return e.beginReadOnly(id, 0, e.newProbe(obs.ProtoRO, id)), nil
 	}
-	e.stats.BeginsRW.Inc()
 	switch p := e.Protocol(); p {
 	case TwoPhaseLocking:
 		return e.beginTwoPhase(id), nil
@@ -562,14 +549,6 @@ func (s *shardMap[V]) store(k uint64, v V) {
 	sh.mu.Lock()
 	sh.m[k] = v
 	sh.mu.Unlock()
-}
-
-func (s *shardMap[V]) load(k uint64) V {
-	sh := s.shard(k)
-	sh.mu.Lock()
-	v := sh.m[k]
-	sh.mu.Unlock()
-	return v
 }
 
 // remove deletes k and returns its value (the zero value if absent).

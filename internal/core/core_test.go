@@ -426,7 +426,7 @@ func TestWoundWaitPolicy(t *testing.T) {
 	go func() { errc <- older.Put("k", []byte("o")) }()
 	// Wait until the wound has landed, then the younger commit must fail.
 	deadline := time.Now().Add(5 * time.Second)
-	for !e.locks.Wounded(younger.ID()) {
+	for _, wounded := e.locks.Wounded(younger.ID()); !wounded; _, wounded = e.locks.Wounded(younger.ID()) {
 		if time.Now().After(deadline) {
 			t.Fatal("younger transaction never wounded")
 		}

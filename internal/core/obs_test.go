@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"mvdb/internal/engine"
+	"mvdb/internal/hotspot"
 	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 )
@@ -94,6 +96,62 @@ func TestAbortCauseCounters(t *testing.T) {
 	}
 	if sn.AbortsDeadlock != 0 {
 		t.Fatalf("timeout abort leaked into aborts.deadlock (%d)", sn.AbortsDeadlock)
+	}
+}
+
+// TestCommitTimeWoundCounted: a 2PL transaction wounded while it holds
+// a lock, and stopped at Commit, is one abort — counted once by the
+// Stats counter, the stripe heatmap and the conflict pairs alike, on
+// the key its wounder wanted.
+func TestCommitTimeWoundCounted(t *testing.T) {
+	e := New(Options{
+		Protocol:   TwoPhaseLocking,
+		LockPolicy: lock.WoundWait,
+		Hotspot:    hotspot.New(hotspot.Options{SampleEvery: 1}),
+	})
+	defer e.Close()
+
+	older, _ := e.Begin(engine.ReadWrite)
+	younger, _ := e.Begin(engine.ReadWrite)
+	if err := younger.Put("k", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- older.Put("k", []byte("o")) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, wounded := e.locks.Wounded(younger.ID()); !wounded; _, wounded = e.locks.Wounded(younger.ID()) {
+		if time.Now().After(deadline) {
+			t.Fatal("younger transaction never wounded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := younger.Commit(); !errors.Is(err, engine.ErrWounded) {
+		t.Fatalf("younger Commit err = %v, want ErrWounded", err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	sn := e.Snapshot()
+	var stripeWounds int64
+	for _, s := range sn.Hotspot.Stripes {
+		stripeWounds += s.Wounds
+	}
+	var pairs uint64
+	for _, c := range sn.Hotspot.Conflicts {
+		if c.Cause == "wounded" {
+			if c.Key != "k" {
+				t.Errorf("wound charged to key %q, want k", c.Key)
+			}
+			pairs += c.Count
+		}
+	}
+	if sn.AbortsWounded != 1 || stripeWounds != 1 || pairs != 1 {
+		t.Fatalf("aborts.wounded=%d stripe wounds=%d wounded pairs=%d, want 1/1/1",
+			sn.AbortsWounded, stripeWounds, pairs)
 	}
 }
 

@@ -21,18 +21,14 @@ import (
 // the write set with the assigned tn, and leaves the critical section.
 // VCcomplete runs after the updates are in place, as in Figures 3 and 4.
 type occTx struct {
-	e       *Engine
-	id      uint64
+	rwTx
 	readSet map[string]uint64 // key -> version TN observed
 	buf     map[string]bufWrite
-	done    bool
-	tn      uint64
-	p       *probe // nil unless instrumented
 }
 
 func (e *Engine) beginOptimistic(id uint64) *occTx {
-	t := &occTx{e: e, id: id, readSet: make(map[string]uint64), buf: make(map[string]bufWrite), p: e.newProbe(obs.ProtoOCC, id)}
-	e.rec.RecordBegin(id, engine.ReadWrite)
+	t := &occTx{rwTx: rwTx{e: e, id: id, p: e.newProbe(obs.ProtoOCC, id)}, readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
+	e.began(id, engine.ReadWrite, 0)
 	return t
 }
 
@@ -66,14 +62,11 @@ func (t *occTx) get(key string) ([]byte, error) {
 	if prev, seen := t.readSet[key]; seen && prev != v.TN {
 		// The object moved under us between two reads; the transaction
 		// can no longer validate, so fail fast.
-		t.e.stats.AbortsConflict.Inc()
-		t.e.hot.RecordConflict("occ-read", key)
-		t.abortInternal()
+		t.abort(obs.AbortOCCRead, key)
 		return nil, engine.ErrConflict
 	}
-	t.e.hot.TouchRead(key)
 	t.readSet[key] = v.TN
-	t.e.rec.RecordRead(t.id, key, v.TN)
+	t.e.read(t.id, key, v.TN)
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
 	}
@@ -82,21 +75,20 @@ func (t *occTx) get(key string) ([]byte, error) {
 
 // Put implements engine.Tx: buffer the write until validation.
 func (t *occTx) Put(key string, value []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{data: value}
-	return nil
+	return t.put(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx: buffer a tombstone.
 func (t *occTx) Delete(key string) error {
+	return t.put(key, bufWrite{tombstone: true})
+}
+
+func (t *occTx) put(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{tombstone: true}
+	t.e.write(key)
+	t.buf[key] = w
 	return nil
 }
 
@@ -122,10 +114,7 @@ func (t *occTx) Commit() error {
 		if cur != seenTN {
 			e.valMu.Unlock()
 			t.p.end(obs.PhaseValidate, start)
-			e.hot.RecordConflict("occ-validate", key)
-			e.stats.AbortsConflict.Inc()
-			e.rec.RecordAbort(t.id)
-			t.p.finishAbort()
+			e.abort(t.id, t.p, obs.AbortOCCValidate, key)
 			return engine.ErrConflict
 		}
 	}
@@ -136,54 +125,25 @@ func (t *occTx) Commit() error {
 	if err := e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		e.vc.Discard(entry)
 		e.valMu.Unlock()
-		e.rec.RecordAbort(t.id)
-		t.p.finishAbort()
+		e.abort(t.id, t.p, obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
-	start = t.p.begin(obs.PhaseInstall)
-	for key, w := range t.buf {
-		o := e.store.GetOrCreate(key)
-		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
-		e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	t.p.end(obs.PhaseInstall, start)
+	e.install(t.id, t.p, t.tn, t.buf, false)
 	e.valMu.Unlock()
 
-	e.rec.RecordCommit(t.id, t.tn)
+	e.committed(t.id, t.p, t.tn, engine.ReadWrite)
 	e.complete(entry, t.p)
-	e.stats.CommitsRW.Inc()
 	return nil
 }
 
 // Abort implements engine.Tx. An optimistic transaction holds nothing, so
 // abort is pure bookkeeping.
-func (t *occTx) Abort() {
-	if t.done {
-		return
-	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
-}
+func (t *occTx) Abort() { t.abort(obs.AbortUser, "") }
 
-func (t *occTx) abortInternal() {
+func (t *occTx) abort(cause obs.AbortCause, key string) {
 	if t.done {
 		return
 	}
 	t.done = true
-	t.e.rec.RecordAbort(t.id)
-	t.p.finishAbort()
-}
-
-// ID implements engine.Tx.
-func (t *occTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *occTx) Class() engine.Class { return engine.ReadWrite }
-
-// SN implements engine.Tx: assigned at validation.
-func (t *occTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
+	t.e.abort(t.id, t.p, cause, key)
 }

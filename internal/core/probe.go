@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mvdb/internal/lock"
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
 	"mvdb/internal/wal"
@@ -87,18 +88,18 @@ func (p *probe) observe(ph obs.Phase, startNS, durNS int64) {
 
 // lockWait records a wait the lock manager measured, with the
 // blocked-on blame edge naming the holder.
-func (p *probe) lockWait(key string, stripe int, blocker uint64, wait time.Duration) {
-	if p == nil {
+func (p *probe) lockWait(key string, w lock.Wait) {
+	if !p.timed() {
 		return
 	}
-	ns := wait.Nanoseconds()
+	ns := w.Dur.Nanoseconds()
 	p.observe(obs.PhaseLockWait, time.Now().UnixNano()-ns, ns)
 	p.tr.Blame(trace.Blame{
 		Kind:   trace.BlameBlockedOn,
 		Phase:  obs.PhaseLockWait.String(),
-		Tx:     blocker,
+		Tx:     w.Blocker,
 		Key:    key,
-		Stripe: stripe,
+		Stripe: w.Stripe,
 		DurNS:  ns,
 	})
 }
@@ -162,9 +163,8 @@ func (p *probe) finishAbort() {
 	}
 }
 
-// probeIndex finds the probe an asynchronous measurement belongs to:
-// the lock manager's wait observer knows only the transaction id, the
-// VC drain's visibility observer only the transaction number. A nil
+// probeIndex lets the VC drain's visibility observer, which knows only
+// a transaction number, find that transaction's probe. A nil
 // *probeIndex (no timing sink) holds nothing.
 type probeIndex struct{ shardMap[*probe] }
 
@@ -174,23 +174,16 @@ func newProbeIndex() *probeIndex {
 	return x
 }
 
-// put indexes a timed probe under id; untimed probes are skipped.
-func (x *probeIndex) put(id uint64, p *probe) {
+// put indexes a timed probe under tn; untimed probes are skipped.
+func (x *probeIndex) put(tn uint64, p *probe) {
 	if x != nil && p.timed() {
-		x.store(id, p)
+		x.store(tn, p)
 	}
 }
 
-func (x *probeIndex) get(id uint64) *probe {
+func (x *probeIndex) take(tn uint64) *probe {
 	if x == nil {
 		return nil
 	}
-	return x.load(id)
-}
-
-func (x *probeIndex) take(id uint64) *probe {
-	if x == nil {
-		return nil
-	}
-	return x.remove(id)
+	return x.remove(tn)
 }

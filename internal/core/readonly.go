@@ -26,7 +26,6 @@ type roTx struct {
 // critical section (roRegistry.add), so no collection pass can compute
 // its watermark between the two and prune a version the snapshot needs.
 func (e *Engine) beginReadOnly(id, pinSN uint64, p *probe) *roTx {
-	e.stats.BeginsRO.Inc()
 	if pinSN > 0 {
 		// Pinned snapshot (BeginReadOnlyAt): read exactly at position
 		// pinSN — time travel into history, or read-your-writes when
@@ -44,8 +43,7 @@ func (e *Engine) beginReadOnly(id, pinSN uint64, p *probe) *roTx {
 		sn = e.vc.Start()
 	}
 	t.sn = sn
-	e.rec.RecordBegin(id, engine.ReadOnly)
-	engine.RecordSnapshot(e.rec, id, sn)
+	e.began(id, engine.ReadOnly, sn)
 	return t
 }
 
@@ -74,11 +72,10 @@ func (t *roTx) get(key string) ([]byte, error) {
 		// The key exists but was created after our snapshot: record a
 		// read of the bootstrap state so the checker can order us before
 		// the creator.
-		t.e.rec.RecordRead(t.id, key, 0)
+		t.e.read(t.id, key, 0)
 		return nil, engine.ErrNotFound
 	}
-	t.e.hot.TouchRead(key)
-	t.e.rec.RecordRead(t.id, key, v.TN)
+	t.e.read(t.id, key, v.TN)
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
 	}
@@ -108,11 +105,7 @@ func (t *roTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	t.finish()
-	t.e.rec.RecordCommit(t.id, t.sn)
-	t.e.stats.CommitsRO.Inc()
-	// No visibility callback will ever name a read-only transaction
-	// (it registers nothing), so its trace finalizes here.
-	t.p.finishCommit()
+	t.e.committed(t.id, t.p, t.sn, engine.ReadOnly)
 	return nil
 }
 
@@ -123,9 +116,7 @@ func (t *roTx) Abort() {
 		return
 	}
 	t.finish()
-	t.e.rec.RecordAbort(t.id)
-	t.e.stats.AbortsUser.Inc()
-	t.p.finishAbort()
+	t.e.abort(t.id, t.p, obs.AbortUser, "")
 }
 
 func (t *roTx) finish() {
@@ -145,8 +136,8 @@ func (t *roTx) Class() engine.Class { return engine.ReadOnly }
 func (t *roTx) SN() (uint64, bool) { return t.sn, true }
 
 // Scan implements engine.Scanner: an ordered prefix scan over the
-// transaction's snapshot. Because every version at or below sn is
-// committed and immutable, the scan needs no synchronization — it is the
+// transaction's snapshot; every version at or below sn is committed and
+// immutable, so the scan needs no synchronization — it is the
 // long-running analytical read the paper's introduction motivates,
 // running concurrently with updates at zero interference.
 func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error {
@@ -158,7 +149,7 @@ func (t *roTx) Scan(prefix string, fn func(key string, value []byte) bool) error
 		if !ok {
 			return true
 		}
-		t.e.rec.RecordRead(t.id, key, v.TN)
+		t.e.read(t.id, key, v.TN)
 		if v.Tombstone {
 			return true
 		}

@@ -19,29 +19,20 @@ import (
 // (abort + VCdiscard), and otherwise install a pending version that
 // becomes committed at end(T), followed by VCcomplete.
 type tsoTx struct {
-	e       *Engine
-	id      uint64
-	entry   vc.Handle
-	tn      uint64
-	pending map[string]struct{} // keys holding our pending write
-	writes  map[string]bufWrite // retained write set (commit log)
-	done    bool
-	p       *probe // nil unless instrumented
+	rwTx
+	entry  vc.Handle
+	writes map[string]bufWrite // keys holding our pending version (and the commit log's write set)
 }
 
 func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 	entry := e.vc.Register()
 	t := &tsoTx{
-		e:       e,
-		id:      id,
-		entry:   entry,
-		tn:      entry.TN(),
-		pending: make(map[string]struct{}),
-		writes:  make(map[string]bufWrite),
-		p:       e.newProbe(obs.ProtoTO, id),
+		rwTx:   rwTx{e: e, id: id, tn: entry.TN(), p: e.newProbe(obs.ProtoTO, id)},
+		entry:  entry,
+		writes: make(map[string]bufWrite),
 	}
 	t.p.setTN(t.tn) // the serial order is fixed at begin
-	e.rec.RecordBegin(id, engine.ReadWrite)
+	e.began(id, engine.ReadWrite, 0)
 	return t
 }
 
@@ -61,19 +52,18 @@ func (t *tsoTx) get(key string) ([]byte, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
-	o := t.e.store.Get(key)
-	if o == nil {
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	var v storage.Version
+	ok := false
+	if o := t.e.store.Get(key); o != nil {
+		v, ok = o.TORead(t.tn)
 	}
-	v, ok := o.TORead(t.tn)
 	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
+		t.e.read(t.id, key, 0)
 		return nil, engine.ErrNotFound
 	}
-	t.e.hot.TouchRead(key)
-	if _, own := t.pending[key]; !(own && v.TN == t.tn) {
-		t.e.rec.RecordRead(t.id, key, v.TN)
+	// A read of our own pending version is not a read of the history.
+	if _, own := t.writes[key]; !(own && v.TN == t.tn) {
+		t.e.read(t.id, key, v.TN)
 	}
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
@@ -85,34 +75,31 @@ func (t *tsoTx) get(key string) ([]byte, error) {
 // younger transaction already read or overwrote the object, otherwise
 // create a pending version numbered tn(T).
 func (t *tsoTx) Put(key string, value []byte) error {
-	return t.write(key, value, false)
+	return t.write(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx (a tombstone write).
 func (t *tsoTx) Delete(key string) error {
-	return t.write(key, nil, true)
+	return t.write(key, bufWrite{tombstone: true})
 }
 
-func (t *tsoTx) write(key string, value []byte, tombstone bool) error {
+func (t *tsoTx) write(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
 	o := t.e.store.GetOrCreate(key)
-	if err := o.TOWrite(t.tn, value, tombstone); err != nil {
-		t.e.hot.RecordConflict("to-write", key)
-		t.e.stats.AbortsConflict.Inc()
+	if err := o.TOWrite(t.tn, w.data, w.tombstone); err != nil {
 		if errors.Is(err, storage.ErrConflictRO) {
 			// Structurally unreachable in this engine: read-only
 			// transactions never raise r-ts here. Counted anyway so the
 			// claim is measured, not assumed (experiment E2).
 			t.e.stats.RWAbortsByRO.Inc()
 		}
-		t.abortInternal()
+		t.abort(obs.AbortTOWrite, key)
 		return engine.ErrConflict
 	}
-	t.e.hot.TouchWrite(key)
-	t.pending[key] = struct{}{}
-	t.writes[key] = bufWrite{data: value, tombstone: tombstone}
+	t.e.write(key)
+	t.writes[key] = w
 	return nil
 }
 
@@ -123,49 +110,27 @@ func (t *tsoTx) Commit() error {
 		return engine.ErrTxDone
 	}
 	if err := t.e.appendWAL(t.p, t.tn, t.writes); err != nil {
-		t.abortInternal()
+		t.abort(obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	t.done = true
-	start := t.p.begin(obs.PhaseInstall)
-	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, true)
-		t.e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	t.p.end(obs.PhaseInstall, start)
-	t.e.rec.RecordCommit(t.id, t.tn)
+	t.e.install(t.id, t.p, t.tn, t.writes, true)
+	t.e.committed(t.id, t.p, t.tn, engine.ReadWrite)
 	t.e.complete(t.entry, t.p)
-	t.e.stats.CommitsRW.Inc()
 	return nil
 }
 
 // Abort implements engine.Tx: destroy pending versions and VCdiscard.
-func (t *tsoTx) Abort() {
-	if t.done {
-		return
-	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
-}
+func (t *tsoTx) Abort() { t.abort(obs.AbortUser, "") }
 
-func (t *tsoTx) abortInternal() {
+func (t *tsoTx) abort(cause obs.AbortCause, key string) {
 	if t.done {
 		return
 	}
 	t.done = true
-	for key := range t.pending {
-		t.e.store.GetOrCreate(key).ResolvePending(t.tn, false)
+	for k := range t.writes {
+		t.e.store.GetOrCreate(k).ResolvePending(t.tn, false)
 	}
 	t.e.vc.Discard(t.entry)
-	t.e.rec.RecordAbort(t.id)
-	t.p.finishAbort()
+	t.e.abort(t.id, t.p, cause, key)
 }
-
-// ID implements engine.Tx.
-func (t *tsoTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *tsoTx) Class() engine.Class { return engine.ReadWrite }
-
-// SN implements engine.Tx: sn(T) = tn(T) under timestamp ordering.
-func (t *tsoTx) SN() (uint64, bool) { return t.tn, true }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
@@ -26,13 +25,9 @@ import (
 // therefore only ever sees transactions that can no longer block, which is
 // why (Section 4.4) it is immune to deadlocks.
 type twoPhaseTx struct {
-	e     *Engine
-	id    uint64
+	rwTx
 	entry vc.Handle // ablation A1 only: registered at begin
 	buf   map[string]bufWrite
-	done  bool
-	tn    uint64 // assigned at commit
-	p     *probe // nil unless instrumented
 }
 
 type bufWrite struct {
@@ -40,14 +35,33 @@ type bufWrite struct {
 	tombstone bool
 }
 
+// rwTx is the state the three read-write transaction types share.
+type rwTx struct {
+	e    *Engine
+	id   uint64
+	tn   uint64 // assigned at commit; at begin under T/O
+	done bool
+	p    *probe // nil unless instrumented
+}
+
+// ID implements engine.Tx.
+func (t *rwTx) ID() uint64 { return t.id }
+
+// Class implements engine.Tx.
+func (t *rwTx) Class() engine.Class { return engine.ReadWrite }
+
+// SN implements engine.Tx. Under T/O sn(T) = tn(T) from begin; a 2PL or
+// OCC transaction has no snapshot position until it commits ("sn(T) =
+// infinity for uniformity").
+func (t *rwTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }
+
 func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
 	e.locks.Begin(id, e.ages.Add(1))
-	t := &twoPhaseTx{e: e, id: id, buf: make(map[string]bufWrite), p: e.newProbe(obs.Proto2PL, id)}
-	e.live.put(id, t.p)
+	t := &twoPhaseTx{rwTx: rwTx{e: e, id: id, p: e.newProbe(obs.Proto2PL, id)}, buf: make(map[string]bufWrite)}
 	if e.opts.UnsafeEarlyRegister2PL {
 		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
 	}
-	e.rec.RecordBegin(id, engine.ReadWrite)
+	e.began(id, engine.ReadWrite, 0)
 	return t
 }
 
@@ -66,20 +80,18 @@ func (t *twoPhaseTx) Get(key string) ([]byte, error) {
 	if err := t.acquire(key, lock.Shared); err != nil {
 		return nil, err
 	}
-	t.e.hot.TouchRead(key)
-	o := t.e.store.Get(key)
-	if o == nil {
-		// Absent key: the shared lock still guards against a concurrent
-		// creator, and the read is recorded against the bootstrap state.
-		t.e.rec.RecordRead(t.id, key, 0)
-		return nil, engine.ErrNotFound
+	// An absent key reads the bootstrap state: the shared lock still
+	// guards against a concurrent creator.
+	var v storage.Version
+	ok := false
+	if o := t.e.store.Get(key); o != nil {
+		v, ok = o.LatestCommitted()
 	}
-	v, ok := o.LatestCommitted()
 	if !ok {
-		t.e.rec.RecordRead(t.id, key, 0)
+		t.e.read(t.id, key, 0)
 		return nil, engine.ErrNotFound
 	}
-	t.e.rec.RecordRead(t.id, key, v.TN)
+	t.e.read(t.id, key, v.TN)
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
 	}
@@ -89,79 +101,56 @@ func (t *twoPhaseTx) Get(key string) ([]byte, error) {
 // Put implements engine.Tx: w-lock(y), then buffer the write; the version
 // number is assigned at commit ("create y_j with version phi").
 func (t *twoPhaseTx) Put(key string, value []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
-		return err
-	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{data: value}
-	return nil
+	return t.put(key, bufWrite{data: value})
 }
 
 // Delete implements engine.Tx: an exclusive lock plus a buffered
 // tombstone.
 func (t *twoPhaseTx) Delete(key string) error {
+	return t.put(key, bufWrite{tombstone: true})
+}
+
+func (t *twoPhaseTx) put(key string, w bufWrite) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
 	if err := t.acquire(key, lock.Exclusive); err != nil {
 		return err
 	}
-	t.e.hot.TouchWrite(key)
-	t.buf[key] = bufWrite{tombstone: true}
+	t.e.write(key)
+	t.buf[key] = w
 	return nil
 }
 
 // acquire maps lock-manager failures to engine errors and aborts the
 // transaction on failure (the victim must release everything it holds).
 func (t *twoPhaseTx) acquire(key string, mode lock.Mode) error {
-	err := t.e.locks.Acquire(t.id, key, mode)
+	w, err := t.e.locks.Acquire(t.id, key, mode)
+	t.e.acquired(t.id, t.p, key, w, err == nil)
 	if err == nil {
-		if t.e.hot != nil && t.p.lockedAt.IsZero() {
-			t.p.lockedAt = time.Now()
-		}
 		return nil
 	}
 	var mapped error
-	var cause string
+	var cause obs.AbortCause
 	switch {
 	case errors.Is(err, lock.ErrDeadlock):
-		t.e.stats.AbortsDeadlock.Inc()
-		mapped, cause = engine.ErrDeadlock, "deadlock"
+		mapped, cause = engine.ErrDeadlock, obs.AbortDeadlock
 	case errors.Is(err, lock.ErrWounded):
-		t.e.stats.AbortsWounded.Inc()
-		mapped, cause = engine.ErrWounded, "wounded"
-		t.e.hot.RecordWound(t.e.locks.StripeOf(key))
+		mapped, cause = engine.ErrWounded, obs.AbortWounded
+		// Charge the key the wounder wanted, not the one that noticed.
+		if k, ok := t.e.locks.Wounded(t.id); ok {
+			key = k
+		}
 	case errors.Is(err, lock.ErrTimeout):
 		// Counted as its own cause; still surfaced as ErrDeadlock because
 		// a timeout is the timeout policy's deadlock presumption.
-		t.e.stats.AbortsTimeout.Inc()
 		mapped = fmt.Errorf("%w (lock wait timeout)", engine.ErrDeadlock)
-		cause = "timeout"
+		cause = obs.AbortTimeout
 	default:
-		t.e.stats.AbortsConflict.Inc()
-		mapped, cause = engine.ErrConflict, "conflict"
+		mapped, cause = engine.ErrConflict, obs.AbortConflict
 	}
-	t.e.hot.RecordConflict(cause, key)
-	t.abortInternal()
+	t.abort(cause, key)
 	return mapped
-}
-
-// release drops every lock the transaction holds. With the profiler on
-// it first charges the first-lock→release span as hold time to every
-// buffered write key's stripe (read-lock-only keys are not retained by
-// the transaction and are skipped).
-func (t *twoPhaseTx) release() {
-	if t.e.hot != nil && !t.p.lockedAt.IsZero() {
-		held := time.Since(t.p.lockedAt)
-		for key := range t.buf {
-			t.e.hot.RecordHold(t.e.locks.StripeOf(key), held)
-		}
-	}
-	t.e.locks.ReleaseAll(t.id)
-	t.e.live.take(t.id)
 }
 
 // Commit implements engine.Tx, following Figure 4's end(T) sequence:
@@ -173,9 +162,8 @@ func (t *twoPhaseTx) Commit() error {
 	}
 	// Under wound-wait a running transaction may have been wounded while
 	// it held locks; it must not commit.
-	if t.e.locks.Wounded(t.id) {
-		t.e.stats.AbortsWounded.Inc()
-		t.abortInternal()
+	if key, wounded := t.e.locks.Wounded(t.id); wounded {
+		t.abort(obs.AbortWounded, key)
 		return engine.ErrWounded
 	}
 	t.done = true
@@ -189,59 +177,28 @@ func (t *twoPhaseTx) Commit() error {
 
 	if err := t.e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		t.e.vc.Discard(entry)
-		t.release()
-		t.e.rec.RecordAbort(t.id)
-		t.p.finishAbort()
+		t.e.releaseLocks(t.id, t.p, t.buf)
+		t.e.abort(t.id, t.p, obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
-	start := t.p.begin(obs.PhaseInstall)
-	for key, w := range t.buf {
-		o := t.e.store.GetOrCreate(key)
-		o.InstallCommitted(storage.Version{TN: t.tn, Data: w.data, Tombstone: w.tombstone})
-		t.e.rec.RecordWrite(t.id, key, t.tn)
-	}
-	t.p.end(obs.PhaseInstall, start)
-	t.e.rec.RecordCommit(t.id, t.tn)
-
-	t.release()
+	t.e.install(t.id, t.p, t.tn, t.buf, false)
+	t.e.committed(t.id, t.p, t.tn, engine.ReadWrite)
+	t.e.releaseLocks(t.id, t.p, t.buf)
 	t.e.complete(entry, t.p)
-	t.e.stats.CommitsRW.Inc()
 	return nil
 }
 
 // Abort implements engine.Tx.
-func (t *twoPhaseTx) Abort() {
-	if t.done {
-		return
-	}
-	t.e.stats.AbortsUser.Inc()
-	t.abortInternal()
-}
+func (t *twoPhaseTx) Abort() { t.abort(obs.AbortUser, "") }
 
-func (t *twoPhaseTx) abortInternal() {
+func (t *twoPhaseTx) abort(cause obs.AbortCause, key string) {
 	if t.done {
 		return
 	}
 	t.done = true
-	t.release()
+	t.e.releaseLocks(t.id, t.p, t.buf)
 	if t.entry != nil {
 		t.e.vc.Discard(t.entry)
 	}
-	t.e.rec.RecordAbort(t.id)
-	t.p.finishAbort()
-}
-
-// ID implements engine.Tx.
-func (t *twoPhaseTx) ID() uint64 { return t.id }
-
-// Class implements engine.Tx.
-func (t *twoPhaseTx) Class() engine.Class { return engine.ReadWrite }
-
-// SN implements engine.Tx. A 2PL read-write transaction has no snapshot
-// position until it commits ("sn(T) = infinity for uniformity").
-func (t *twoPhaseTx) SN() (uint64, bool) {
-	if t.tn != 0 {
-		return t.tn, true
-	}
-	return 0, false
+	t.e.abort(t.id, t.p, cause, key)
 }

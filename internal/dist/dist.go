@@ -188,8 +188,6 @@ type Options struct {
 	// its participant site, so a cross-site commit renders as a single
 	// waterfall. Nil disables span tracing at zero cost.
 	Traces *trace.Tracer
-	// Shards per site store.
-	Shards int
 }
 
 // Cluster is a set of sites plus the coordinator-side logic.
@@ -239,7 +237,7 @@ func New(opts Options) (*Cluster, error) {
 	for i := 0; i < opts.Sites; i++ {
 		s := &Site{
 			id:    i,
-			store: storage.NewStore(opts.Shards),
+			store: storage.NewStore(0),
 			vc:    vc.NewStrided(0, uint64(i), uint64(opts.Sites)),
 			locks: lock.NewManager(lock.TimeoutPolicy, opts.LockTimeout),
 		}
@@ -445,7 +443,7 @@ func (t *DTx) Get(key string) ([]byte, error) {
 	var found bool
 	var lockErr error
 	t.c.bus.call(func() {
-		if lockErr = p.site.locks.Acquire(t.id, key, lock.Shared); lockErr != nil {
+		if _, lockErr = p.site.locks.Acquire(t.id, key, lock.Shared); lockErr != nil {
 			return
 		}
 		if o := p.site.store.Get(key); o != nil {
@@ -486,7 +484,7 @@ func (t *DTx) write(key string, w bufWrite) error {
 	p := t.part(sid)
 	var lockErr error
 	t.c.bus.call(func() {
-		lockErr = p.site.locks.Acquire(t.id, key, lock.Exclusive)
+		_, lockErr = p.site.locks.Acquire(t.id, key, lock.Exclusive)
 	})
 	if lockErr != nil {
 		t.abortInternal()

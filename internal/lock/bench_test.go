@@ -12,7 +12,7 @@ func BenchmarkAcquireReleaseUncontended(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := uint64(i + 1)
 		m.Begin(id, id)
-		if err := m.Acquire(id, "k", Exclusive); err != nil {
+		if err := acquire(m, id, "k", Exclusive); err != nil {
 			b.Fatal(err)
 		}
 		m.ReleaseAll(id)
@@ -35,7 +35,7 @@ func BenchmarkAcquireSharedParallel(b *testing.B) {
 		for pb.Next() {
 			id := nextID()
 			m.Begin(id, id)
-			if err := m.Acquire(id, "shared-key", Shared); err != nil {
+			if err := acquire(m, id, "shared-key", Shared); err != nil {
 				b.Fatal(err)
 			}
 			m.ReleaseAll(id)
@@ -60,7 +60,7 @@ func BenchmarkStripedUniform(b *testing.B) {
 				for pb.Next() {
 					id := ctr.Add(1)
 					m.Begin(id, id)
-					if err := m.Acquire(id, keys[id%256], Exclusive); err != nil {
+					if err := acquire(m, id, keys[id%256], Exclusive); err != nil {
 						b.Fatal(err)
 					}
 					m.ReleaseAll(id)
@@ -83,7 +83,7 @@ func BenchmarkAcquireManyKeys(b *testing.B) {
 				id := uint64(i + 1)
 				m.Begin(id, id)
 				for _, k := range keys {
-					if err := m.Acquire(id, k, Exclusive); err != nil {
+					if err := acquire(m, id, k, Exclusive); err != nil {
 						b.Fatal(err)
 					}
 				}

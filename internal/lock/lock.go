@@ -122,6 +122,9 @@ type txState struct {
 	held    map[string]Mode
 	waiting *request
 	wounded bool
+	// woundKey is the key an older transaction requested when it
+	// wounded this one: the contested key the abort is charged to.
+	woundKey string
 }
 
 type lockState struct {
@@ -162,12 +165,23 @@ type Manager struct {
 	timeouts   atomic.Uint64
 	collisions atomic.Uint64
 
-	// onWait observes every blocked request when its wait ends; see
-	// SetWaitObserver. onBlock observes it when the wait begins; see
-	// SetBlockObserver. Both run outside every manager mutex.
-	onWait  func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration)
+	// onBlock observes a blocked request when its wait begins, outside
+	// every manager mutex; see SetBlockObserver.
 	onBlock func(txID uint64, key string)
 }
+
+// Wait is what one Acquire spent blocked: the key's lock-table stripe,
+// the transaction it was first queued behind (the blame edge for causal
+// tracing; 0 if the conflict vanished before it was captured), and the
+// time spent blocked. The zero Wait means the request did not block.
+type Wait struct {
+	Stripe  int
+	Blocker uint64
+	Dur     time.Duration
+}
+
+// Blocked reports whether the request waited.
+func (w Wait) Blocked() bool { return w.Dur > 0 }
 
 // NewManager creates a manager with the given policy and DefaultStripes
 // lock-table stripes. timeout applies only to TimeoutPolicy (zero selects
@@ -249,25 +263,11 @@ func (m *Manager) Begin(txID, age uint64) {
 	sh.m[txID] = &txState{id: txID, age: age, held: make(map[string]Mode)}
 }
 
-// SetWaitObserver installs fn, called once per blocked request when its
-// wait ends — granted or failed — with the requester, the key, the
-// key's lock-table stripe, the transaction it was first queued behind
-// (the blame edge for causal tracing; 0 if the conflict vanished before
-// it was captured), and the time spent blocked. The callback runs on
-// the waiter's own goroutine with no manager, stripe or transaction
-// mutex held, so a slow observer can never stall lock traffic on any
-// key (TestSlowWaitObserver pins this down). It must be installed
-// before the manager sees concurrent use (engines set it at
-// construction).
-func (m *Manager) SetWaitObserver(fn func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration)) {
-	m.onWait = fn
-}
-
 // SetBlockObserver installs fn, called once per request at the moment it
 // begins to wait (its entry is queued and visible to other transactions).
-// Like the wait observer it runs on the requester's goroutine outside
-// every mutex. The deterministic schedule-exploration harness
-// (internal/schedtest) uses it to learn that a step has parked.
+// It runs on the requester's goroutine outside every mutex. The
+// deterministic schedule-exploration harness (internal/schedtest) uses
+// it to learn that a step has parked.
 func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
 	m.onBlock = fn
 }
@@ -275,21 +275,25 @@ func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
 // Acquire blocks until the lock is granted or the transaction becomes a
 // deadlock/wound/timeout victim. Re-acquiring a held lock (same or weaker
 // mode) is a no-op; Shared→Exclusive upgrades are supported and take
-// priority over queued requests.
-func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
+// priority over queued requests. The returned Wait describes the time
+// the request spent blocked — granted or failed — and is zero when it
+// did not block (a deadlock victim fails before it waits). The caller
+// records it on its own goroutine, after every manager mutex is
+// released, so recording a wait can never stall lock traffic.
+func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
 	tx := m.lookup(txID)
 	if tx == nil {
-		return ErrUnknown
+		return Wait{}, ErrUnknown
 	}
 	tx.mu.Lock()
 	if tx.wounded {
 		tx.mu.Unlock()
-		return ErrWounded
+		return Wait{}, ErrWounded
 	}
 	held, hasHeld := tx.held[key]
 	tx.mu.Unlock()
 	if hasHeld && (held == Exclusive || mode == Shared) {
-		return nil
+		return Wait{}, nil
 	}
 	upgrade := hasHeld // held Shared, want Exclusive
 
@@ -307,7 +311,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 		tx.held[key] = mode
 		tx.mu.Unlock()
 		s.mu.Unlock()
-		return nil
+		return Wait{}, nil
 	}
 
 	// Capture the blame edge while the stripe mutex still pins the
@@ -341,7 +345,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 		// wounder saw no waiting request to fail, so fail it here.
 		tx.mu.Unlock()
 		s.mu.Unlock()
-		return ErrWounded
+		return Wait{}, ErrWounded
 	}
 	if upgrade {
 		ls.queue = append([]*request{req}, ls.queue...)
@@ -367,7 +371,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 		m.detectMu.Unlock()
 		if victim {
 			m.deadlocks.Add(1)
-			return ErrDeadlock
+			return Wait{}, ErrDeadlock
 		}
 		// If a cycle was seen but the request had already been resolved
 		// (granted or wounded concurrently), the verdict is on the
@@ -380,10 +384,9 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) error {
 
 	waitStart := time.Now()
 	err := m.await(req)
-	if m.onWait != nil {
-		m.onWait(txID, key, m.stripeIdx(key), blocker, time.Since(waitStart))
-	}
-	return err
+	// At least 1ns, so a blocked request never reads as unblocked on a
+	// coarse clock.
+	return Wait{Stripe: m.stripeIdx(key), Blocker: blocker, Dur: max(time.Since(waitStart), 1)}, err
 }
 
 // await blocks on a queued request until it is granted or fails under
@@ -484,15 +487,16 @@ func (m *Manager) HeldCount(txID uint64) int {
 	return len(tx.held)
 }
 
-// Wounded reports whether txID has been wounded and must abort.
-func (m *Manager) Wounded(txID uint64) bool {
+// Wounded reports whether txID has been wounded and must abort, and the
+// key the older transaction requested when it wounded txID.
+func (m *Manager) Wounded(txID uint64) (key string, wounded bool) {
 	tx := m.lookup(txID)
 	if tx == nil {
-		return false
+		return "", false
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	return tx.wounded
+	return tx.woundKey, tx.wounded
 }
 
 // Waits returns the number of requests that ever blocked.
@@ -746,19 +750,19 @@ func (m *Manager) woundYounger(req *request) {
 		if b.age <= req.tx.age {
 			continue
 		}
-		m.wound(b)
+		m.wound(b, req.key)
 	}
 }
 
-// wound marks b wounded and fails its blocked request, if any. The caller
-// holds detectMu.
-func (m *Manager) wound(b *txState) {
+// wound marks b wounded over key and fails its blocked request, if any.
+// The caller holds detectMu.
+func (m *Manager) wound(b *txState, key string) {
 	b.mu.Lock()
 	if b.wounded {
 		b.mu.Unlock()
 		return
 	}
-	b.wounded = true
+	b.wounded, b.woundKey = true, key
 	w := b.waiting
 	b.mu.Unlock()
 	m.wounds.Add(1)

@@ -12,14 +12,20 @@ import (
 
 func newDetect() *Manager { return NewManager(Detect, 0) }
 
+// acquire is Acquire for tests that check only the verdict.
+func acquire(m *Manager, txID uint64, key string, mode Mode) error {
+	_, err := m.Acquire(txID, key, mode)
+	return err
+}
+
 func TestSharedLocksCoexist(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "x", Shared); err != nil {
+	if err := acquire(m, 2, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.HeldCount(1); got != 1 {
@@ -31,11 +37,11 @@ func TestExclusiveBlocksShared(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
+	if err := acquire(m, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error)
-	go func() { done <- m.Acquire(2, "x", Shared) }()
+	go func() { done <- acquire(m, 2, "x", Shared) }()
 	select {
 	case err := <-done:
 		t.Fatalf("shared acquired despite X holder: %v", err)
@@ -51,15 +57,15 @@ func TestReacquireIsNoop(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	for i := 0; i < 3; i++ {
-		if err := m.Acquire(1, "x", Shared); err != nil {
+		if err := acquire(m, 1, "x", Shared); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
+	if err := acquire(m, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	// X then S: still a no-op, keeps X.
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.HeldCount(1); got != 1 {
@@ -70,10 +76,10 @@ func TestReacquireIsNoop(t *testing.T) {
 func TestUpgradeSoleHolder(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
+	if err := acquire(m, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,14 +88,14 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "x", Shared); err != nil {
+	if err := acquire(m, 2, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error)
-	go func() { done <- m.Acquire(1, "x", Exclusive) }()
+	go func() { done <- acquire(m, 1, "x", Exclusive) }()
 	select {
 	case err := <-done:
 		t.Fatalf("upgrade granted with another reader: %v", err)
@@ -106,19 +112,19 @@ func TestUpgradePriorityOverQueuedWriter(t *testing.T) {
 	m.Begin(1, 1)
 	m.Begin(2, 2)
 	m.Begin(3, 3)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "x", Shared); err != nil {
+	if err := acquire(m, 2, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	// T3 queues for X.
 	t3 := make(chan error)
-	go func() { t3 <- m.Acquire(3, "x", Exclusive) }()
+	go func() { t3 <- acquire(m, 3, "x", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	// T1 requests upgrade: must be served before T3 once T2 releases.
 	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
+	go func() { t1 <- acquire(m, 1, "x", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	m.ReleaseAll(2)
 	select {
@@ -141,17 +147,17 @@ func TestDeadlockDetection(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "a", Exclusive); err != nil {
+	if err := acquire(m, 1, "a", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "b", Exclusive); err != nil {
+	if err := acquire(m, 2, "b", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "b", Exclusive) }()
+	go func() { t1 <- acquire(m, 1, "b", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
 	// Closing the cycle: T2 must be chosen as victim immediately.
-	err := m.Acquire(2, "a", Exclusive)
+	err := acquire(m, 2, "a", Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -168,16 +174,16 @@ func TestUpgradeUpgradeDeadlock(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "x", Shared); err != nil {
+	if err := acquire(m, 2, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
+	go func() { t1 <- acquire(m, 1, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
-	err := m.Acquire(2, "x", Exclusive)
+	err := acquire(m, 2, "x", Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -191,17 +197,17 @@ func TestWoundWaitOlderWoundsYoungerHolder(t *testing.T) {
 	m := NewManager(WoundWait, 0)
 	m.Begin(1, 1) // older
 	m.Begin(2, 2) // younger
-	if err := m.Acquire(2, "x", Exclusive); err != nil {
+	if err := acquire(m, 2, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
+	go func() { t1 <- acquire(m, 1, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
-	if !m.Wounded(2) {
-		t.Fatal("younger holder not wounded")
+	if key, wounded := m.Wounded(2); !wounded || key != "x" {
+		t.Fatalf("Wounded(2) = %q, %v; want the contested key x", key, wounded)
 	}
 	// The wounded transaction notices on its next acquire.
-	if err := m.Acquire(2, "y", Shared); !errors.Is(err, ErrWounded) {
+	if err := acquire(m, 2, "y", Shared); !errors.Is(err, ErrWounded) {
 		t.Fatalf("err = %v, want ErrWounded", err)
 	}
 	m.ReleaseAll(2)
@@ -217,17 +223,17 @@ func TestWoundWaitYoungerWaits(t *testing.T) {
 	m := NewManager(WoundWait, 0)
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
+	if err := acquire(m, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	t2 := make(chan error)
-	go func() { t2 <- m.Acquire(2, "x", Exclusive) }()
+	go func() { t2 <- acquire(m, 2, "x", Exclusive) }()
 	select {
 	case err := <-t2:
 		t.Fatalf("younger did not wait: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if m.Wounded(1) {
+	if _, wounded := m.Wounded(1); wounded {
 		t.Fatal("older got wounded by younger")
 	}
 	m.ReleaseAll(1)
@@ -241,15 +247,15 @@ func TestWoundWaitWoundsBlockedWaiterImmediately(t *testing.T) {
 	m.Begin(1, 1) // oldest
 	m.Begin(2, 2)
 	m.Begin(3, 3)
-	if err := m.Acquire(2, "x", Exclusive); err != nil {
+	if err := acquire(m, 2, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	t3 := make(chan error)
-	go func() { t3 <- m.Acquire(3, "x", Exclusive) }()
+	go func() { t3 <- acquire(m, 3, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
 	// T1 arrives: wounds holder T2 and queued T3.
 	t1 := make(chan error)
-	go func() { t1 <- m.Acquire(1, "x", Exclusive) }()
+	go func() { t1 <- acquire(m, 1, "x", Exclusive) }()
 	if err := <-t3; !errors.Is(err, ErrWounded) {
 		t.Fatalf("t3 err = %v, want ErrWounded", err)
 	}
@@ -264,11 +270,11 @@ func TestTimeoutPolicy(t *testing.T) {
 	m := NewManager(TimeoutPolicy, 30*time.Millisecond)
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "x", Exclusive); err != nil {
+	if err := acquire(m, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err := m.Acquire(2, "x", Shared)
+	err := acquire(m, 2, "x", Shared)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -281,7 +287,7 @@ func TestTimeoutPolicy(t *testing.T) {
 	// The lock remains usable.
 	m.ReleaseAll(1)
 	m.Begin(3, 3)
-	if err := m.Acquire(3, "x", Exclusive); err != nil {
+	if err := acquire(m, 3, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -289,17 +295,17 @@ func TestTimeoutPolicy(t *testing.T) {
 func TestFIFOFairnessWriterNotStarved(t *testing.T) {
 	m := newDetect()
 	m.Begin(1, 1)
-	if err := m.Acquire(1, "x", Shared); err != nil {
+	if err := acquire(m, 1, "x", Shared); err != nil {
 		t.Fatal(err)
 	}
 	m.Begin(2, 2)
 	writer := make(chan error)
-	go func() { writer <- m.Acquire(2, "x", Exclusive) }()
+	go func() { writer <- acquire(m, 2, "x", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	// A later reader must queue behind the writer, not jump it.
 	m.Begin(3, 3)
 	reader := make(chan error)
-	go func() { reader <- m.Acquire(3, "x", Shared) }()
+	go func() { reader <- acquire(m, 3, "x", Shared) }()
 	select {
 	case <-reader:
 		t.Fatal("late reader jumped the queued writer")
@@ -317,7 +323,7 @@ func TestFIFOFairnessWriterNotStarved(t *testing.T) {
 
 func TestAcquireUnknownTx(t *testing.T) {
 	m := newDetect()
-	if err := m.Acquire(99, "x", Shared); !errors.Is(err, ErrUnknown) {
+	if err := acquire(m, 99, "x", Shared); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("err = %v, want ErrUnknown", err)
 	}
 }
@@ -362,7 +368,7 @@ func TestStressMutualExclusion(t *testing.T) {
 							if rng.Intn(2) == 0 {
 								mode = Exclusive
 							}
-							if err := m.Acquire(id, fmt.Sprintf("k%d", k), mode); err != nil {
+							if err := acquire(m, id, fmt.Sprintf("k%d", k), mode); err != nil {
 								aborted = true
 								break
 							}
@@ -398,7 +404,7 @@ func TestStressMutualExclusion(t *testing.T) {
 
 func TestWoundedUnknownTx(t *testing.T) {
 	m := newDetect()
-	if m.Wounded(123) {
+	if _, wounded := m.Wounded(123); wounded {
 		t.Fatal("unknown tx reported wounded")
 	}
 	if m.HeldCount(123) != 0 {
@@ -425,17 +431,17 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 	keys := []string{"a", "b", "c"}
 	for i, id := range []uint64{1, 2, 3} {
-		if err := m.Acquire(id, keys[i], Exclusive); err != nil {
+		if err := acquire(m, id, keys[i], Exclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
 	errs := make(chan error, 2)
-	go func() { errs <- m.Acquire(1, "b", Exclusive) }()
+	go func() { errs <- acquire(m, 1, "b", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- m.Acquire(2, "c", Exclusive) }()
+	go func() { errs <- acquire(m, 2, "c", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	// T3 -> a closes the 3-cycle; T3 must be the victim.
-	if err := m.Acquire(3, "a", Exclusive); !errors.Is(err, ErrDeadlock) {
+	if err := acquire(m, 3, "a", Exclusive); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 	m.ReleaseAll(3)

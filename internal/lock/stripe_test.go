@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -21,69 +22,53 @@ func TestStripeCountRounding(t *testing.T) {
 	}
 }
 
-// TestSlowWaitObserver verifies the satellite fix contract: the wait
-// observer runs outside every manager mutex, so an arbitrarily slow
-// observer cannot stall lock traffic on unrelated keys — or even on the
-// same key.
-func TestSlowWaitObserver(t *testing.T) {
+// TestAcquireReturnsWait pins down the wait contract: an uncontended
+// or re-entrant request reports the zero Wait, and a blocked one reports
+// its key's stripe, the holder it queued behind, and a positive
+// duration, whether it was granted or failed.
+func TestAcquireReturnsWait(t *testing.T) {
 	m := NewManager(Detect, 0)
-	release := make(chan struct{})
-	var observed atomic.Int32
-	m.SetWaitObserver(func(txID uint64, key string, stripe int, blocker uint64, wait time.Duration) {
-		observed.Add(1)
-		<-release // hold the observer hostage
-	})
-	defer close(release)
-
-	// tx1 holds k; tx2 blocks on k; releasing k ends tx2's wait and
-	// parks tx2's goroutine inside the slow observer.
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "k", Exclusive); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // fresh grant, then re-entrant no-op
+		if w, err := m.Acquire(1, "k", Exclusive); err != nil || w.Blocked() || w != (Wait{}) {
+			t.Fatalf("uncontended Acquire = %+v, %v; want zero Wait", w, err)
+		}
 	}
-	blocked := make(chan error, 1)
+	type result struct {
+		w   Wait
+		err error
+	}
+	blocked := make(chan result, 1)
 	go func() {
-		blocked <- m.Acquire(2, "k", Exclusive)
+		w, err := m.Acquire(2, "k", Exclusive)
+		blocked <- result{w, err}
 	}()
 	for m.Waits() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(5 * time.Millisecond)
 	m.ReleaseAll(1)
-	for observed.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	r := <-blocked
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-
-	// With tx2's goroutine captive in the observer (and tx2 now holding
-	// k), every lock operation on other keys — including keys hashing
-	// to any stripe — must still complete promptly: the observer runs
-	// with no manager mutex held.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := uint64(10); i < 30; i++ {
-			m.Begin(i, i)
-			for _, key := range []string{"k2", "other", fmt.Sprintf("u%d", i)} {
-				if err := m.Acquire(i, key, Exclusive); err != nil {
-					t.Errorf("Acquire(%d, %s): %v", i, key, err)
-					return
-				}
-			}
-			m.ReleaseAll(i)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lock traffic stalled behind a slow wait observer")
-	}
-
-	// Unblock the captive observer and collect tx2.
-	release <- struct{}{}
-	if err := <-blocked; err != nil {
-		t.Fatalf("tx2 Acquire after release: %v", err)
+	if !r.w.Blocked() || r.w.Stripe != m.StripeOf("k") || r.w.Blocker != 1 || r.w.Dur < 5*time.Millisecond {
+		t.Fatalf("blocked Acquire = %+v; want stripe %d, blocker 1, >=5ms", r.w, m.StripeOf("k"))
 	}
 	m.ReleaseAll(2)
+
+	// A timed-out request reports its wait too.
+	tm := NewManager(TimeoutPolicy, 10*time.Millisecond)
+	tm.Begin(1, 1)
+	tm.Begin(2, 2)
+	if err := acquire(tm, 1, "k", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	w, err := tm.Acquire(2, "k", Exclusive)
+	if !errors.Is(err, ErrTimeout) || !w.Blocked() || w.Blocker != 1 || w.Dur < 10*time.Millisecond {
+		t.Fatalf("timed-out Acquire = %+v, %v; want ErrTimeout after >=10ms behind tx 1", w, err)
+	}
 }
 
 // TestSlowBlockObserver gives the block observer the same guarantee.
@@ -99,11 +84,11 @@ func TestSlowBlockObserver(t *testing.T) {
 
 	m.Begin(1, 1)
 	m.Begin(2, 2)
-	if err := m.Acquire(1, "k", Exclusive); err != nil {
+	if err := acquire(m, 1, "k", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- m.Acquire(2, "k", Exclusive) }()
+	go func() { blocked <- acquire(m, 2, "k", Exclusive) }()
 	for fired.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -112,7 +97,7 @@ func TestSlowBlockObserver(t *testing.T) {
 	go func() {
 		defer close(done)
 		m.Begin(3, 3)
-		if err := m.Acquire(3, "elsewhere", Exclusive); err != nil {
+		if err := acquire(m, 3, "elsewhere", Exclusive); err != nil {
 			t.Errorf("Acquire: %v", err)
 		}
 		m.ReleaseAll(3)
@@ -170,11 +155,11 @@ func TestStripedStress(t *testing.T) {
 							if rng&1 == 0 {
 								mode = Exclusive
 							}
-							if err := m.Acquire(id, k, mode); err != nil {
+							if err := acquire(m, id, k, mode); err != nil {
 								ok = false
 							}
 						}
-						if ok && m.Acquire(id, "hot", Exclusive) == nil {
+						if ok && acquire(m, id, "hot", Exclusive) == nil {
 							if inHot.Add(1) != 1 {
 								t.Error("mutual exclusion violated on hot key")
 							}
@@ -220,7 +205,7 @@ func TestStripeCollisionsCounted(t *testing.T) {
 				id := ids.Add(1)
 				m.Begin(id, id)
 				k := fmt.Sprintf("k%d", id%16)
-				if err := m.Acquire(id, k, Shared); err == nil {
+				if err := acquire(m, id, k, Shared); err == nil {
 					m.ReleaseAll(id)
 				} else {
 					m.ReleaseAll(id)

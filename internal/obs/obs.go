@@ -88,7 +88,7 @@ type Stats struct {
 	RecencyWaits Counter
 
 	// LockWaitNanos records how long each blocked lock request waited
-	// (granted or not); the lock manager's wait observer feeds it.
+	// (granted or not), as the lock manager returned it to the waiter.
 	LockWaitNanos *metrics.Histogram
 
 	// WALBatchSize records the number of commit records covered by each
@@ -119,6 +119,43 @@ type Stats struct {
 
 	// start anchors the uptime gauge.
 	start time.Time
+}
+
+// AbortCause is why a transaction aborted. One value selects both the
+// Stats counter the abort is counted under and the label the hotspot
+// profiler pairs with the contested key.
+type AbortCause uint8
+
+// The causes. Deadlock, wounded and timeout are the three 2PL
+// deadlock-policy outcomes and conflict is any other lock-manager
+// refusal; occ-read (an object moved between two reads), occ-validate
+// and to-write are the optimistic and timestamp-ordering conflicts; log
+// is a failed commit-log append, whose error reaches the caller
+// uncounted.
+const (
+	AbortUser AbortCause = iota
+	AbortDeadlock
+	AbortWounded
+	AbortTimeout
+	AbortConflict
+	AbortOCCRead
+	AbortOCCValidate
+	AbortTOWrite
+	AbortLog
+)
+
+var abortLabels = [...]string{"user", "deadlock", "wounded", "timeout", "conflict", "occ-read", "occ-validate", "to-write", "log"}
+
+func (c AbortCause) String() string { return abortLabels[c] }
+
+// CountAbort counts one abort under its cause's counter; the four
+// conflict causes share AbortsConflict.
+func (s *Stats) CountAbort(c AbortCause) {
+	counters := [...]*Counter{&s.AbortsUser, &s.AbortsDeadlock, &s.AbortsWounded, &s.AbortsTimeout,
+		&s.AbortsConflict, &s.AbortsConflict, &s.AbortsConflict, &s.AbortsConflict, nil}
+	if ctr := counters[c]; ctr != nil {
+		ctr.Inc()
+	}
 }
 
 // NewStats returns an empty registry.

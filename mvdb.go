@@ -152,6 +152,9 @@ var (
 // IsRetryable reports whether err is a transient transaction abort.
 func IsRetryable(err error) bool { return engine.Retryable(err) }
 
+// maxUpdateRetries bounds Update's automatic retries.
+const maxUpdateRetries = 100
+
 // Options configures Open.
 type Options struct {
 	// Protocol selects the read-write concurrency control.
@@ -164,8 +167,6 @@ type Options struct {
 	DeadlockPolicy DeadlockPolicy
 	// LockTimeout applies to DeadlockTimeout (default 50ms).
 	LockTimeout time.Duration
-	// Shards sets store sharding (0 = default 64).
-	Shards int
 	// GCInterval enables background garbage collection of unreachable
 	// versions at the given period (0 disables it). When enabled, active
 	// read-only snapshots are tracked so no reachable version is ever
@@ -184,9 +185,6 @@ type Options struct {
 	// identical to SyncEveryCommit; only the fsync count differs. Takes
 	// precedence over SyncEveryCommit.
 	GroupCommit bool
-	// GroupCommitMaxRecords caps how many commit records one fsync batch
-	// gathers (0 = wal.DefaultBatchMaxRecords).
-	GroupCommitMaxRecords int
 	// GroupCommitMaxDelay is how long the flusher lingers for more
 	// committers before fsyncing a non-full batch (0 = fsync as soon as
 	// the flusher wakes; latency-optimal, still amortizes under load).
@@ -194,8 +192,6 @@ type Options struct {
 	// LockStripes sets the 2PL lock table's stripe count, rounded up to a
 	// power of two (0 = default 32, 1 = a single global table).
 	LockStripes int
-	// MaxUpdateRetries bounds Update's automatic retries (default 100).
-	MaxUpdateRetries int
 	// AdaptiveCC, when set, ignores Protocol and runs read-write
 	// transactions under an adaptive scheme: optimistic while conflicts
 	// are rare, two-phase locking when the windowed conflict rate crosses
@@ -278,9 +274,6 @@ type Options struct {
 	// Under AdaptiveCC with Health it also feeds the knob controller.
 	// Off — the default — keeps every hot-path hook at one pointer test.
 	Hotspot bool
-	// HotspotTopK is the heavy-hitter sketch capacity — how many hot
-	// keys each report ranks (0 = hotspot.DefaultTopK).
-	HotspotTopK int
 	// HotspotSampleEvery samples one in N key touches into the sketches
 	// (0 = hotspot.DefaultSampleEvery; 1 = every touch, for tests).
 	HotspotSampleEvery int
@@ -379,7 +372,6 @@ type DB struct {
 	dbg       *obs.DebugServer  // nil unless DebugAddr
 	fs        faultfs.FS        // Options.FS (nil = real filesystem)
 	walPath   string
-	retries   int
 	closed    bool
 }
 
@@ -448,7 +440,6 @@ func Open(opts Options) (*DB, error) {
 	var prof *hotspot.Profiler
 	if opts.Hotspot {
 		prof = hotspot.New(hotspot.Options{
-			TopK:        opts.HotspotTopK,
 			SampleEvery: opts.HotspotSampleEvery,
 		})
 	}
@@ -458,7 +449,6 @@ func Open(opts Options) (*DB, error) {
 		LockPolicy:    lockPolicy(opts.DeadlockPolicy),
 		LockTimeout:   opts.LockTimeout,
 		LockStripes:   opts.LockStripes,
-		Shards:        opts.Shards,
 		TrackReadOnly: opts.GCInterval > 0,
 		Trace:         tracer,
 		PhaseTiming:   opts.PhaseTiming,
@@ -468,11 +458,6 @@ func Open(opts Options) (*DB, error) {
 	if auditor != nil {
 		coreOpts.Recorder = auditor
 	}
-	retries := opts.MaxUpdateRetries
-	if retries <= 0 {
-		retries = 100
-	}
-
 	fail := func(err error) (*DB, error) {
 		if auditor != nil {
 			auditor.Close()
@@ -486,7 +471,6 @@ func Open(opts Options) (*DB, error) {
 		switch {
 		case opts.GroupCommit:
 			walOpts.Policy = wal.SyncBatch
-			walOpts.BatchMaxRecords = opts.GroupCommitMaxRecords
 			walOpts.BatchMaxDelay = opts.GroupCommitMaxDelay
 		case opts.SyncEveryCommit:
 			walOpts.Policy = wal.SyncEveryCommit
@@ -502,7 +486,7 @@ func Open(opts Options) (*DB, error) {
 	engVC := eng.VC()
 	auditVC.Store(&engVC)
 
-	db := &DB{eng: eng, rw: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath, retries: retries}
+	db := &DB{eng: eng, rw: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath}
 	if opts.AdaptiveCC {
 		eng.SetProtocol(core.Optimistic)
 		adOpts := adaptive.Options{Ring: tracer}
@@ -792,11 +776,11 @@ func (db *DB) View(fn func(*Tx) error) error {
 
 // Update runs fn in a read-write transaction, retrying automatically when
 // the engine aborts it with a retryable conflict (up to
-// Options.MaxUpdateRetries attempts). fn must be idempotent per attempt
+// maxUpdateRetries attempts). fn must be idempotent per attempt
 // and must not keep references to data read in failed attempts.
 func (db *DB) Update(fn func(*Tx) error) error {
 	var last error
-	for attempt := 0; attempt < db.retries; attempt++ {
+	for attempt := 0; attempt < maxUpdateRetries; attempt++ {
 		tx, err := db.Begin()
 		if err != nil {
 			return err

@@ -80,13 +80,24 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 
 	// Contended mix: private-key writers keep group-commit batches and
 	// the VC queue busy (fsync waits create registered-but-incomplete
-	// predecessors), hot-key contenders collide on one lock.
-	var wg sync.WaitGroup
+	// predecessors), hot-key contenders collide on one lock. Everyone
+	// runs until every contender has made 40 updates, so the last
+	// promoted traces always come from the full mix.
+	var wg, quota sync.WaitGroup
+	stop := make(chan struct{})
+	running := func() bool {
+		select {
+		case <-stop:
+			return false
+		default:
+			return true
+		}
+	}
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			for i := 0; running(); i++ {
 				_ = db.Update(func(tx *Tx) error {
 					return tx.Put(fmt.Sprintf("private-%d-%d", w, i), []byte("v"))
 				})
@@ -95,9 +106,13 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 	}
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
+		quota.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			for i := 0; running(); i++ {
+				if i == 40 {
+					quota.Done()
+				}
 				_ = db.Update(func(tx *Tx) error {
 					if _, err := tx.Get("hot"); err != nil && err != ErrNotFound {
 						return err
@@ -107,6 +122,8 @@ func TestTraceEndToEndBlameEdges(t *testing.T) {
 			}
 		}(w)
 	}
+	quota.Wait()
+	close(stop)
 	wg.Wait()
 
 	prom := db.TxTraces().Promoted()
