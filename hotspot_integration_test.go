@@ -14,43 +14,6 @@ import (
 	"mvdb/internal/obs"
 )
 
-// TestHotspotDisabledZeroOverhead is the acceptance alloc guard for the
-// profiler: with Options.Hotspot off (the default), every hot-path hook
-// must reduce to one pointer test and keep the seed allocation
-// baselines — Update at 12 allocs/op and View at 2.
-func TestHotspotDisabledZeroOverhead(t *testing.T) {
-	db, err := Open(Options{Protocol: TwoPhaseLocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Hotspots() != nil {
-		t.Fatal("Hotspots() non-nil with Options.Hotspot off")
-	}
-	val := []byte("v")
-	update := testing.AllocsPerRun(200, func() {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.Put("k", val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update > 12 {
-		t.Errorf("Update allocs/op = %.1f with hotspot off, want <= 12 (seed baseline)", update)
-	}
-	view := testing.AllocsPerRun(200, func() {
-		if err := db.View(func(tx *Tx) error {
-			_, err := tx.Get("k")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view > 2 {
-		t.Errorf("View allocs/op = %.1f with hotspot off, want <= 2 (seed baseline)", view)
-	}
-}
-
 // BenchmarkHotspotProfiler measures the profiler's cost off and on
 // (EXPERIMENTS O7) over the same durable group-commit Update workload
 // as BenchmarkHealthMonitor: the enabled hot-path cost is one atomic

@@ -22,12 +22,11 @@ import (
 // VCcomplete runs after the updates are in place, as in Figures 3 and 4.
 type occTx struct {
 	rwTx
-	readSet map[string]uint64 // key -> version TN observed
-	buf     map[string]bufWrite
+	readSet map[string]uint64 // key -> version TN observed; from readSets
 }
 
 func (e *Engine) beginOptimistic(id uint64) *occTx {
-	t := &occTx{rwTx: rwTx{e: e, id: id, p: e.newProbe(obs.ProtoOCC, id)}, readSet: make(map[string]uint64), buf: make(map[string]bufWrite)}
+	t := &occTx{rwTx: e.newRWTx(id, 0, obs.ProtoOCC), readSet: readSets.get()}
 	e.began(id, engine.ReadWrite, 0)
 	return t
 }
@@ -114,6 +113,7 @@ func (t *occTx) Commit() error {
 		if cur != seenTN {
 			e.valMu.Unlock()
 			t.p.end(obs.PhaseValidate, start)
+			t.recycle()
 			e.abort(t.id, t.p, obs.AbortOCCValidate, key)
 			return engine.ErrConflict
 		}
@@ -125,11 +125,13 @@ func (t *occTx) Commit() error {
 	if err := e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		e.vc.Discard(entry)
 		e.valMu.Unlock()
+		t.recycle()
 		e.abort(t.id, t.p, obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	e.install(t.id, t.p, t.tn, t.buf, false)
 	e.valMu.Unlock()
+	t.recycle()
 
 	e.committed(t.id, t.p, t.tn, engine.ReadWrite)
 	e.complete(entry, t.p)
@@ -145,5 +147,13 @@ func (t *occTx) abort(cause obs.AbortCause, key string) {
 		return
 	}
 	t.done = true
+	t.recycle()
 	t.e.abort(t.id, t.p, cause, key)
+}
+
+// recycle gives the write and read sets back to their pools.
+func (t *occTx) recycle() {
+	t.rwTx.recycle()
+	readSets.put(t.readSet)
+	t.readSet = nil
 }

@@ -20,17 +20,12 @@ import (
 // becomes committed at end(T), followed by VCcomplete.
 type tsoTx struct {
 	rwTx
-	entry  vc.Handle
-	writes map[string]bufWrite // keys holding our pending version (and the commit log's write set)
+	entry vc.Handle
 }
 
 func (e *Engine) beginTimestamp(id uint64) *tsoTx {
 	entry := e.vc.Register()
-	t := &tsoTx{
-		rwTx:   rwTx{e: e, id: id, tn: entry.TN(), p: e.newProbe(obs.ProtoTO, id)},
-		entry:  entry,
-		writes: make(map[string]bufWrite),
-	}
+	t := &tsoTx{rwTx: e.newRWTx(id, entry.TN(), obs.ProtoTO), entry: entry}
 	t.p.setTN(t.tn) // the serial order is fixed at begin
 	e.began(id, engine.ReadWrite, 0)
 	return t
@@ -62,7 +57,7 @@ func (t *tsoTx) get(key string) ([]byte, error) {
 		return nil, engine.ErrNotFound
 	}
 	// A read of our own pending version is not a read of the history.
-	if _, own := t.writes[key]; !(own && v.TN == t.tn) {
+	if _, own := t.buf[key]; !(own && v.TN == t.tn) {
 		t.e.read(t.id, key, v.TN)
 	}
 	if v.Tombstone {
@@ -99,7 +94,7 @@ func (t *tsoTx) write(key string, w bufWrite) error {
 		return engine.ErrConflict
 	}
 	t.e.write(key)
-	t.writes[key] = w
+	t.buf[key] = w
 	return nil
 }
 
@@ -109,12 +104,13 @@ func (t *tsoTx) Commit() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if err := t.e.appendWAL(t.p, t.tn, t.writes); err != nil {
+	if err := t.e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		t.abort(obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	t.done = true
-	t.e.install(t.id, t.p, t.tn, t.writes, true)
+	t.e.install(t.id, t.p, t.tn, t.buf, true)
+	t.recycle()
 	t.e.committed(t.id, t.p, t.tn, engine.ReadWrite)
 	t.e.complete(t.entry, t.p)
 	return nil
@@ -128,9 +124,10 @@ func (t *tsoTx) abort(cause obs.AbortCause, key string) {
 		return
 	}
 	t.done = true
-	for k := range t.writes {
+	for k := range t.buf {
 		t.e.store.GetOrCreate(k).ResolvePending(t.tn, false)
 	}
+	t.recycle()
 	t.e.vc.Discard(t.entry)
 	t.e.abort(t.id, t.p, cause, key)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lock"
@@ -27,7 +28,6 @@ import (
 type twoPhaseTx struct {
 	rwTx
 	entry vc.Handle // ablation A1 only: registered at begin
-	buf   map[string]bufWrite
 }
 
 type bufWrite struct {
@@ -42,6 +42,49 @@ type rwTx struct {
 	tn   uint64 // assigned at commit; at begin under T/O
 	done bool
 	p    *probe // nil unless instrumented
+	// buf is the write set: buffered writes under 2PL and OCC, the keys
+	// holding a pending version under T/O. It comes from writeSets and
+	// goes back once the transaction has finished (nil after).
+	buf map[string]bufWrite
+}
+
+// maxPooledSet bounds the key maps kept for reuse: a map never shrinks,
+// so one that grew past it is left to the collector.
+const maxPooledSet = 64
+
+// setPool recycles per-transaction key maps, cleared before reuse.
+type setPool[V any] struct{ p sync.Pool }
+
+func (s *setPool[V]) get() map[string]V {
+	if m, ok := s.p.Get().(map[string]V); ok {
+		return m
+	}
+	return make(map[string]V)
+}
+
+func (s *setPool[V]) put(m map[string]V) {
+	if m == nil || len(m) > maxPooledSet {
+		return
+	}
+	clear(m)
+	s.p.Put(m)
+}
+
+var (
+	writeSets setPool[bufWrite]
+	readSets  setPool[uint64] // OCC read sets
+)
+
+func (e *Engine) newRWTx(id, tn uint64, proto obs.ProtoIdx) rwTx {
+	return rwTx{e: e, id: id, tn: tn, p: e.newProbe(proto, id), buf: writeSets.get()}
+}
+
+// recycle gives the write set back to its pool. The transaction calls it
+// once it is done and its locks are released, so a stale handle, which
+// fails every call with ErrTxDone, never touches a reused map.
+func (t *rwTx) recycle() {
+	writeSets.put(t.buf)
+	t.buf = nil
 }
 
 // ID implements engine.Tx.
@@ -57,7 +100,7 @@ func (t *rwTx) SN() (uint64, bool) { return t.tn, t.tn != 0 }
 
 func (e *Engine) beginTwoPhase(id uint64) *twoPhaseTx {
 	e.locks.Begin(id, e.ages.Add(1))
-	t := &twoPhaseTx{rwTx: rwTx{e: e, id: id, p: e.newProbe(obs.Proto2PL, id)}, buf: make(map[string]bufWrite)}
+	t := &twoPhaseTx{rwTx: e.newRWTx(id, 0, obs.Proto2PL)}
 	if e.opts.UnsafeEarlyRegister2PL {
 		t.entry = e.vc.Register() // A1: serial order NOT yet fixed — wrong on purpose
 	}
@@ -178,12 +221,14 @@ func (t *twoPhaseTx) Commit() error {
 	if err := t.e.appendWAL(t.p, t.tn, t.buf); err != nil {
 		t.e.vc.Discard(entry)
 		t.e.releaseLocks(t.id, t.p, t.buf)
+		t.recycle()
 		t.e.abort(t.id, t.p, obs.AbortLog, "")
 		return fmt.Errorf("core: commit log: %w", err)
 	}
 	t.e.install(t.id, t.p, t.tn, t.buf, false)
 	t.e.committed(t.id, t.p, t.tn, engine.ReadWrite)
 	t.e.releaseLocks(t.id, t.p, t.buf)
+	t.recycle()
 	t.e.complete(entry, t.p)
 	return nil
 }
@@ -197,6 +242,7 @@ func (t *twoPhaseTx) abort(cause obs.AbortCause, key string) {
 	}
 	t.done = true
 	t.e.releaseLocks(t.id, t.p, t.buf)
+	t.recycle()
 	if t.entry != nil {
 		t.e.vc.Discard(t.entry)
 	}

@@ -112,38 +112,120 @@ type request struct {
 	ready chan error
 }
 
+// txState is one transaction's lock state. States are recycled through
+// the registry's free lists (see Begin and ReleaseAll), so a *txState
+// can outlive the transaction it was captured for: code that found one
+// under a stripe mutex records the id it saw (a blocker) and acts on it
+// only while tx.id still matches under tx.mu.
 type txState struct {
+	// mu guards every field. Lock order: a stripe mutex may be held
+	// while taking mu; never the reverse.
+	mu  sync.Mutex
 	id  uint64
 	age uint64 // smaller = older; used by WoundWait
 
-	// mu guards the fields below. Lock order: a stripe mutex may be held
-	// while taking mu; never the reverse.
-	mu      sync.Mutex
 	held    map[string]Mode
 	waiting *request
 	wounded bool
 	// woundKey is the key an older transaction requested when it
 	// wounded this one: the contested key the abort is charged to.
 	woundKey string
+	// keys is ReleaseAll's scratch copy of the held set, kept for reuse.
+	keys []string
+}
+
+// blocker is a transaction found blocking a request, with the id it had
+// when it was found under the stripe mutex.
+type blocker struct {
+	tx *txState
+	id uint64
+}
+
+// Recycling bounds. A stripe keeps at most stripeFreeMax empty lock
+// entries and a registry shard at most txFreeMax transaction states. An
+// entry whose holder slice grew past stripeHoldersMax, or a state that
+// held more than txHeldMax locks, is dropped rather than kept: slices and
+// maps never shrink.
+const (
+	stripeFreeMax    = 16
+	stripeHoldersMax = 8
+	txFreeMax        = 32
+	txHeldMax        = 64
+)
+
+// holder is one transaction holding a key in mode.
+type holder struct {
+	tx   *txState
+	mode Mode
 }
 
 type lockState struct {
-	holders map[*txState]Mode
+	holders []holder // one or two in the common case
 	queue   []*request
+}
+
+// find returns the index of tx among ls's holders, or -1.
+func (ls *lockState) find(tx *txState) int {
+	for i := range ls.holders {
+		if ls.holders[i].tx == tx {
+			return i
+		}
+	}
+	return -1
+}
+
+// grant records tx as holding mode (an upgrade replaces its mode).
+func (ls *lockState) grant(tx *txState, mode Mode) {
+	if i := ls.find(tx); i >= 0 {
+		ls.holders[i].mode = mode
+		return
+	}
+	ls.holders = append(ls.holders, holder{tx, mode})
+}
+
+// drop removes tx from ls's holders, reporting whether it held the key.
+func (ls *lockState) drop(tx *txState) bool {
+	i := ls.find(tx)
+	if i < 0 {
+		return false
+	}
+	last := len(ls.holders) - 1
+	ls.holders[i] = ls.holders[last]
+	ls.holders[last] = holder{}
+	ls.holders = ls.holders[:last]
+	return true
+}
+
+// compatible reports whether the current holders allow tx to hold mode:
+// an upgrade needs tx to be the sole holder, any other request no
+// conflicting holder besides tx itself. The caller holds ls's stripe
+// mutex.
+func (ls *lockState) compatible(tx *txState, mode Mode, upgrade bool) bool {
+	if upgrade {
+		return len(ls.holders) == 1 && ls.holders[0].tx == tx
+	}
+	for _, h := range ls.holders {
+		if h.tx != tx && (mode == Exclusive || h.mode == Exclusive) {
+			return false
+		}
+	}
+	return true
 }
 
 // stripe is one hash partition of the lock table.
 type stripe struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
+	free  []*lockState // emptied entries for reuse; at most stripeFreeMax
 }
 
 const txShardCount = 16
 
 // txShard is one partition of the transaction registry.
 type txShard struct {
-	mu sync.Mutex
-	m  map[uint64]*txState
+	mu   sync.Mutex
+	m    map[uint64]*txState
+	free []*txState // released states for reuse; at most txFreeMax
 }
 
 // Manager is a lock manager. It is safe for concurrent use.
@@ -242,25 +324,51 @@ func (m *Manager) lockStripe(s *stripe) {
 	s.mu.Lock()
 }
 
-func (m *Manager) lookup(txID uint64) *txState {
+// lockTx returns txID's state with its mutex held, or nil if txID is
+// not registered.
+func (m *Manager) lockTx(txID uint64) *txState {
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
 	tx := sh.m[txID]
 	sh.mu.Unlock()
+	if tx == nil {
+		return nil
+	}
+	tx.mu.Lock()
+	if tx.id != txID {
+		// Released and recycled since the lookup.
+		tx.mu.Unlock()
+		return nil
+	}
 	return tx
 }
 
 // Begin registers a transaction. age must be unique and monotonically
 // increasing across Begin calls (the engine uses its begin sequence);
-// WoundWait uses it as the seniority order.
+// WoundWait uses it as the seniority order. The state is taken from the
+// shard's free list when one is there.
 func (m *Manager) Begin(txID, age uint64) {
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if _, ok := sh.m[txID]; ok {
+		sh.mu.Unlock()
 		panic(fmt.Sprintf("lock: duplicate Begin(%d)", txID))
 	}
-	sh.m[txID] = &txState{id: txID, age: age, held: make(map[string]Mode)}
+	var tx *txState
+	if n := len(sh.free); n > 0 {
+		tx = sh.free[n-1]
+		sh.free[n-1] = nil
+		sh.free = sh.free[:n-1]
+	} else {
+		tx = &txState{held: make(map[string]Mode)}
+	}
+	tx.mu.Lock()
+	tx.id, tx.age = txID, age
+	// A wound can still land on a released state before its reuse.
+	tx.wounded, tx.woundKey = false, ""
+	tx.mu.Unlock()
+	sh.m[txID] = tx
+	sh.mu.Unlock()
 }
 
 // SetBlockObserver installs fn, called once per request at the moment it
@@ -281,11 +389,10 @@ func (m *Manager) SetBlockObserver(fn func(txID uint64, key string)) {
 // records it on its own goroutine, after every manager mutex is
 // released, so recording a wait can never stall lock traffic.
 func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
-	tx := m.lookup(txID)
+	tx := m.lockTx(txID)
 	if tx == nil {
 		return Wait{}, ErrUnknown
 	}
-	tx.mu.Lock()
 	if tx.wounded {
 		tx.mu.Unlock()
 		return Wait{}, ErrWounded
@@ -301,12 +408,20 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
 	m.lockStripe(s)
 	ls := s.locks[key]
 	if ls == nil {
-		ls = &lockState{holders: make(map[*txState]Mode)}
+		if n := len(s.free); n > 0 {
+			ls = s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+		} else {
+			ls = &lockState{}
+		}
 		s.locks[key] = ls
 	}
 
-	if grantable(ls, tx, mode, upgrade) {
-		ls.holders[tx] = mode
+	// FIFO fairness: a fresh request must queue behind existing waiters;
+	// an upgrade takes priority over them.
+	if (upgrade || len(ls.queue) == 0) && ls.compatible(tx, mode, upgrade) {
+		ls.grant(tx, mode)
 		tx.mu.Lock()
 		tx.held[key] = mode
 		tx.mu.Unlock()
@@ -319,20 +434,17 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
 	// conflicting request queued ahead. By the time the wait ends the
 	// blocker may be long gone, so this is the only moment the causal
 	// edge is observable.
-	var blocker uint64
-	for h, hm := range ls.holders {
-		if h == tx {
-			continue
-		}
-		if upgrade || mode == Exclusive || hm == Exclusive {
-			blocker = h.id
+	var blame uint64
+	for _, h := range ls.holders {
+		if h.tx != tx && (upgrade || mode == Exclusive || h.mode == Exclusive) {
+			blame = h.tx.id
 			break
 		}
 	}
-	if blocker == 0 && !upgrade {
+	if blame == 0 && !upgrade {
 		for _, r := range ls.queue {
 			if r.tx != tx && (mode == Exclusive || r.mode == Exclusive) {
-				blocker = r.tx.id
+				blame = r.tx.id
 				break
 			}
 		}
@@ -363,7 +475,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
 	switch m.policy {
 	case Detect:
 		m.detectMu.Lock()
-		cycle := m.cycleFrom(tx)
+		cycle := m.cycleFrom(blocker{tx, txID})
 		var victim bool
 		if cycle {
 			victim = m.cancelRequest(req)
@@ -386,7 +498,7 @@ func (m *Manager) Acquire(txID uint64, key string, mode Mode) (Wait, error) {
 	err := m.await(req)
 	// At least 1ns, so a blocked request never reads as unblocked on a
 	// coarse clock.
-	return Wait{Stripe: m.stripeIdx(key), Blocker: blocker, Dur: max(time.Since(waitStart), 1)}, err
+	return Wait{Stripe: m.stripeIdx(key), Blocker: blame, Dur: max(time.Since(waitStart), 1)}, err
 }
 
 // await blocks on a queued request until it is granted or fails under
@@ -434,6 +546,7 @@ func (m *Manager) cancelRequest(req *request) bool {
 // ReleaseAll releases every lock held by txID, grants any now-compatible
 // waiters, and forgets the transaction. It is the 2PL "shrinking phase"
 // done all at once (strict 2PL), and also the abort path for victims.
+// The emptied state goes back to the shard's free list.
 func (m *Manager) ReleaseAll(txID uint64) {
 	sh := &m.txs[txID%txShardCount]
 	sh.mu.Lock()
@@ -447,7 +560,7 @@ func (m *Manager) ReleaseAll(txID uint64) {
 	tx.mu.Lock()
 	w := tx.waiting
 	tx.waiting = nil
-	keys := make([]string, 0, len(tx.held))
+	keys := tx.keys[:0]
 	for key := range tx.held {
 		keys = append(keys, key)
 	}
@@ -466,23 +579,35 @@ func (m *Manager) ReleaseAll(txID uint64) {
 	for _, key := range keys {
 		s := m.stripeFor(key)
 		m.lockStripe(s)
-		if ls := s.locks[key]; ls != nil {
-			if _, holds := ls.holders[tx]; holds {
-				delete(ls.holders, tx)
-				m.grantWaiters(s, key, ls)
-			}
+		if ls := s.locks[key]; ls != nil && ls.drop(tx) {
+			m.grantWaiters(s, key, ls)
 		}
 		s.mu.Unlock()
 	}
+
+	// Nothing refers to tx any more except stale blockers, which check
+	// its id before acting; it can be reused.
+	if len(keys) > txHeldMax {
+		return
+	}
+	clear(keys)
+	tx.mu.Lock()
+	clear(tx.held)
+	tx.keys = keys[:0]
+	tx.mu.Unlock()
+	sh.mu.Lock()
+	if len(sh.free) < txFreeMax {
+		sh.free = append(sh.free, tx)
+	}
+	sh.mu.Unlock()
 }
 
 // HeldCount returns how many locks txID currently holds.
 func (m *Manager) HeldCount(txID uint64) int {
-	tx := m.lookup(txID)
+	tx := m.lockTx(txID)
 	if tx == nil {
 		return 0
 	}
-	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	return len(tx.held)
 }
@@ -490,11 +615,10 @@ func (m *Manager) HeldCount(txID uint64) int {
 // Wounded reports whether txID has been wounded and must abort, and the
 // key the older transaction requested when it wounded txID.
 func (m *Manager) Wounded(txID uint64) (key string, wounded bool) {
-	tx := m.lookup(txID)
+	tx := m.lockTx(txID)
 	if tx == nil {
 		return "", false
 	}
-	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	return tx.woundKey, tx.wounded
 }
@@ -551,22 +675,20 @@ func (m *Manager) WaitGraph() WaitGraph {
 	for i := range m.txs {
 		sh := &m.txs[i]
 		sh.mu.Lock()
-		txs := make([]*txState, 0, len(sh.m))
-		for _, tx := range sh.m {
-			txs = append(txs, tx)
+		txs := make([]blocker, 0, len(sh.m))
+		for id, tx := range sh.m {
+			txs = append(txs, blocker{tx, id})
 		}
 		sh.mu.Unlock()
-		for _, tx := range txs {
-			tx.mu.Lock()
-			w := tx.waiting
-			tx.mu.Unlock()
+		for _, t := range txs {
+			w := t.waiting()
 			if w == nil {
 				continue
 			}
 			g.Waiters++
 			for _, b := range m.blockersFor(w) {
 				g.Edges = append(g.Edges, WaitEdge{
-					From: tx.id, To: b.id, Key: w.key, Mode: w.mode.String(),
+					From: t.id, To: b.id, Key: w.key, Mode: w.mode.String(),
 				})
 			}
 		}
@@ -584,62 +706,17 @@ func (m *Manager) WaitGraph() WaitGraph {
 	return g
 }
 
-// grantable reports whether tx may be granted mode on ls right now. The
-// caller holds ls's stripe mutex.
-func grantable(ls *lockState, tx *txState, mode Mode, upgrade bool) bool {
-	if upgrade {
-		// Upgrade is granted when tx is the sole holder.
-		if len(ls.holders) != 1 {
-			return false
-		}
-		_, sole := ls.holders[tx]
-		return sole
-	}
-	// FIFO fairness: a fresh request must queue behind existing waiters.
-	if len(ls.queue) > 0 {
-		return false
-	}
-	for h, hm := range ls.holders {
-		if h == tx {
-			continue
-		}
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
 // grantWaiters grants queued requests from the front while possible, and
-// removes the key's entry once nothing holds or waits on it. The caller
-// holds s.mu.
+// removes the key's entry once nothing holds or waits on it, keeping it
+// on the stripe's free list. The caller holds s.mu.
 func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
-		if req.upgrade {
-			if len(ls.holders) != 1 {
-				break
-			}
-			if _, sole := ls.holders[req.tx]; !sole {
-				break
-			}
-		} else {
-			compatible := true
-			for h, hm := range ls.holders {
-				if h == req.tx {
-					continue
-				}
-				if req.mode == Exclusive || hm == Exclusive {
-					compatible = false
-					break
-				}
-			}
-			if !compatible {
-				break
-			}
+		if !ls.compatible(req.tx, req.mode, req.upgrade) {
+			break
 		}
 		ls.queue = ls.queue[1:]
-		ls.holders[req.tx] = req.mode
+		ls.grant(req.tx, req.mode)
 		req.tx.mu.Lock()
 		req.tx.held[key] = req.mode
 		if req.tx.waiting == req {
@@ -650,6 +727,10 @@ func (m *Manager) grantWaiters(s *stripe, key string, ls *lockState) {
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(s.locks, key)
+		if len(s.free) < stripeFreeMax && cap(ls.holders) <= stripeHoldersMax {
+			ls.queue = nil
+			s.free = append(s.free, ls)
+		}
 	}
 }
 
@@ -667,9 +748,10 @@ func (m *Manager) removeRequest(s *stripe, ls *lockState, req *request) bool {
 }
 
 // blockersFor returns the transactions req waits for: conflicting
-// holders plus conflicting requests queued ahead of it. It briefly locks
-// the key's stripe; the caller holds detectMu.
-func (m *Manager) blockersFor(req *request) []*txState {
+// holders plus conflicting requests queued ahead of it, each with the id
+// it has while the stripe mutex pins it. It briefly locks the key's
+// stripe; the caller holds detectMu.
+func (m *Manager) blockersFor(req *request) []blocker {
 	s := m.stripeFor(req.key)
 	m.lockStripe(s)
 	defer s.mu.Unlock()
@@ -677,66 +759,68 @@ func (m *Manager) blockersFor(req *request) []*txState {
 	if ls == nil {
 		return nil
 	}
-	var out []*txState
-	for h, hm := range ls.holders {
-		if h == req.tx {
-			continue
-		}
-		if req.mode == Exclusive || hm == Exclusive {
-			out = append(out, h)
+	var out []blocker
+	for _, h := range ls.holders {
+		if h.tx != req.tx && (req.mode == Exclusive || h.mode == Exclusive) {
+			out = append(out, blocker{h.tx, h.tx.id})
 		}
 	}
 	for _, r := range ls.queue {
 		if r == req {
 			break
 		}
-		if r.tx == req.tx {
-			continue
-		}
-		if req.mode == Exclusive || r.mode == Exclusive {
-			out = append(out, r.tx)
+		if r.tx != req.tx && (req.mode == Exclusive || r.mode == Exclusive) {
+			out = append(out, blocker{r.tx, r.tx.id})
 		}
 	}
 	return out
+}
+
+// waiting returns the request b's transaction is blocked on: nil if it
+// is not blocked, or if its state was released or reused since b was
+// captured (the transaction b named holds and waits for nothing any
+// more).
+func (b blocker) waiting() *request {
+	b.tx.mu.Lock()
+	defer b.tx.mu.Unlock()
+	if b.tx.id != b.id {
+		return nil
+	}
+	return b.tx.waiting
+}
+
+// edgesFrom returns the transactions b waits for: one step of the
+// waits-for walk. The caller holds detectMu.
+func (m *Manager) edgesFrom(b blocker) []blocker {
+	if w := b.waiting(); w != nil {
+		return m.blockersFor(w)
+	}
+	return nil
 }
 
 // cycleFrom runs a DFS over the waits-for relation starting at start,
 // returning true if start is reachable from itself. The caller holds
 // detectMu; stripes and transactions are locked one at a time along the
 // walk (see the package comment for why this is sound).
-func (m *Manager) cycleFrom(start *txState) bool {
-	start.mu.Lock()
-	w := start.waiting
-	start.mu.Unlock()
-	if w == nil {
-		return false
-	}
-	visited := map[*txState]bool{}
-	var stack []*txState
-	push := func(t *txState) {
-		if !visited[t] {
-			visited[t] = true
-			stack = append(stack, t)
+func (m *Manager) cycleFrom(start blocker) bool {
+	visited := map[uint64]bool{}
+	var stack []blocker
+	push := func(bs []blocker) {
+		for _, b := range bs {
+			if !visited[b.id] {
+				visited[b.id] = true
+				stack = append(stack, b)
+			}
 		}
 	}
-	for _, b := range m.blockersFor(w) {
-		push(b)
-	}
+	push(m.edgesFrom(start))
 	for len(stack) > 0 {
-		t := stack[len(stack)-1]
+		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if t == start {
+		if b.id == start.id {
 			return true
 		}
-		t.mu.Lock()
-		tw := t.waiting
-		t.mu.Unlock()
-		if tw == nil {
-			continue
-		}
-		for _, b := range m.blockersFor(tw) {
-			push(b)
-		}
+		push(m.edgesFrom(b))
 	}
 	return false
 }
@@ -747,24 +831,23 @@ func (m *Manager) cycleFrom(start *txState) bool {
 // caller holds detectMu.
 func (m *Manager) woundYounger(req *request) {
 	for _, b := range m.blockersFor(req) {
-		if b.age <= req.tx.age {
-			continue
-		}
-		m.wound(b, req.key)
+		m.wound(b, req.tx.age, req.key)
 	}
 }
 
-// wound marks b wounded over key and fails its blocked request, if any.
-// The caller holds detectMu.
-func (m *Manager) wound(b *txState, key string) {
-	b.mu.Lock()
-	if b.wounded {
-		b.mu.Unlock()
+// wound marks b wounded over key, if it is still the transaction it was
+// captured as and is younger than age, and fails its blocked request, if
+// any. The caller holds detectMu.
+func (m *Manager) wound(b blocker, age uint64, key string) {
+	t := b.tx
+	t.mu.Lock()
+	if t.id != b.id || t.age <= age || t.wounded {
+		t.mu.Unlock()
 		return
 	}
-	b.wounded, b.woundKey = true, key
-	w := b.waiting
-	b.mu.Unlock()
+	t.wounded, t.woundKey = true, key
+	w := t.waiting
+	t.mu.Unlock()
 	m.wounds.Add(1)
 	if w == nil {
 		return
@@ -772,11 +855,11 @@ func (m *Manager) wound(b *txState, key string) {
 	s := m.stripeFor(w.key)
 	m.lockStripe(s)
 	if ls := s.locks[w.key]; ls != nil && m.removeRequest(s, ls, w) {
-		b.mu.Lock()
-		if b.waiting == w {
-			b.waiting = nil
+		t.mu.Lock()
+		if t.waiting == w {
+			t.waiting = nil
 		}
-		b.mu.Unlock()
+		t.mu.Unlock()
 		w.ready <- ErrWounded
 	}
 	s.mu.Unlock()

