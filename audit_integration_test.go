@@ -67,9 +67,6 @@ func TestAuditEndToEnd(t *testing.T) {
 	if sn.Processed == 0 || sn.GraphWriters == 0 {
 		t.Fatalf("auditor saw no traffic: %+v", sn)
 	}
-	if sn.Latency["read-write"].Count == 0 || sn.Latency["read-only"].Count == 0 {
-		t.Fatalf("latency summaries missing: %+v", sn.Latency)
-	}
 
 	// The audit debug endpoint serves the same snapshot shape.
 	resp, err := http.Get("http://" + db.DebugAddr() + "/debug/mvdb/audit")
@@ -105,7 +102,6 @@ func TestAuditEndToEnd(t *testing.T) {
 		"mvdb_visibility_lag",
 		"mvdb_audit_events_total",
 		"mvdb_audit_alarms_total 0",
-		`mvdb_txn_latency_seconds{class="rw",quantile="0.95"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)

@@ -88,8 +88,8 @@ func fetchAudit(client *http.Client, url string) (*audit.Snapshot, error) {
 	return &sn, nil
 }
 
-// addAuditRows appends the online auditor's section: per-class span
-// latency quantiles, alarm totals and the most recent alarm.
+// addAuditRows appends the online auditor's section: window and queue
+// sizes, alarm totals and the most recent alarm.
 func addAuditRows(tb *metrics.Table, sn *audit.Snapshot) {
 	if sn == nil {
 		return
@@ -98,15 +98,6 @@ func addAuditRows(tb *metrics.Table, sn *audit.Snapshot) {
 		fmt.Sprintf("%d / %d / %d", sn.Window, sn.GraphNodes, sn.GraphEdges), "")
 	tb.AddRow("audit events (recv/drop)",
 		fmt.Sprintf("%d / %d", sn.Received, sn.Dropped), "")
-	for _, class := range []string{"read-only", "read-write"} {
-		l, ok := sn.Latency[class]
-		if !ok {
-			continue
-		}
-		tb.AddRow(fmt.Sprintf("audit %s p50/p95/p99", class),
-			fmt.Sprintf("%s / %s / %s",
-				metrics.Dur(l.P50NS), metrics.Dur(l.P95NS), metrics.Dur(l.P99NS)), "")
-	}
 	tb.AddRow("audit alarms", fmt.Sprint(sn.AlarmsTotal), "")
 	if n := len(sn.Alarms); n > 0 {
 		last := sn.Alarms[n-1]
@@ -189,9 +180,6 @@ func liveTable(addr string, cur, prev *obs.Payload, interval time.Duration) metr
 	gauge("vc queue", s.VCQueueLen)
 	gauge("keys / versions", fmt.Sprintf("%d / %d", s.Keys, s.Versions))
 	gauge("version chain max/mean", fmt.Sprintf("%d / %.2f", s.MaxVersionChain, s.MeanVersionChain))
-	for k, v := range s.Extra {
-		gauge(k, v)
-	}
 	if n := len(cur.Trace); n > 0 {
 		last := cur.Trace[n-1]
 		gauge("trace events retained", n)

@@ -70,9 +70,10 @@ type protocolResult struct {
 	Bundle   string               `json:"bundle,omitempty"`
 
 	// With -hotspots: the profiler's ranked hot keys (writes, then reads
-	// when no writes were sampled) and any adaptive knob actions taken.
-	TopKeys     []hotspot.HotKey `json:"top_keys,omitempty"`
-	KnobActions int64            `json:"knob_actions,omitempty"`
+	// when no writes were sampled).
+	TopKeys []hotspot.HotKey `json:"top_keys,omitempty"`
+	// Under -protocol adaptive: protocol switches the policy took.
+	Switches int64 `json:"switches,omitempty"`
 }
 
 // driftChecks are the soak oracle's "no monotonic creep" bounds:
@@ -88,7 +89,7 @@ var driftChecks = []health.DriftCheck{
 func main() {
 	var (
 		duration   = flag.Duration("duration", 60*time.Second, "total wall-clock budget, split across protocols")
-		protocol   = flag.String("protocol", "all", "2pl, to, occ, adaptive (AdaptiveCC + knob controller), or all")
+		protocol   = flag.String("protocol", "all", "2pl, to, occ, adaptive (AdaptiveCC), or all")
 		vcFlag     = flag.String("vc", "all", "visibility mode: strict, epoch, or all (both)")
 		clients    = flag.Int("clients", 4, "concurrent workload clients per protocol")
 		keys       = flag.Int("keys", 512, "key-space size")
@@ -354,9 +355,9 @@ func runProtocol(proto, mode, base string, budget time.Duration, cfg workload.Co
 			res.TopKeys = res.TopKeys[:8]
 		}
 	}
-	// Knob actions only exist under AdaptiveCC; read the Extra map
-	// defensively so plain soak configs report 0.
-	res.KnobActions = sn.Extra["adaptive.knob_actions"]
+	if a := sn.Adaptive; a != nil {
+		res.Switches = a.Switches
+	}
 
 	res.Pass = len(res.Reasons) == 0
 	if !res.Pass {

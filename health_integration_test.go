@@ -56,8 +56,8 @@ func BenchmarkHealthMonitor(b *testing.B) {
 // trip the commit-p99 SLO's fast burn window, and the resulting page
 // alarm must flow through every reused pipe — a flight bundle carrying
 // the health timeline, promoted causal traces, an EvHealth event in the
-// trace ring, a health signal observed by the adaptive policy, and the
-// /debug/mvdb/health endpoint reporting the paged SLO.
+// trace ring, and the /debug/mvdb/health endpoint reporting the paged
+// SLO.
 func TestHealthEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	// The first fsync of the commit log (and, sticky, every one after)
@@ -145,10 +145,9 @@ func TestHealthEndToEnd(t *testing.T) {
 		t.Fatal("no EvHealth event for commit-p99 in the trace ring")
 	}
 
-	// The adaptive policy consumed health signals (and only those: the
-	// internal sampler is disabled once the timeline drives it).
-	if n := db.Stats().Extra["adaptive.health_signals"]; n == 0 {
-		t.Fatal("adaptive policy observed no health signals")
+	// The adaptive engine reports its typed section alongside health.
+	if a := db.Stats().Adaptive; a == nil || a.Protocol == "" {
+		t.Fatalf("Stats().Adaptive = %+v, want the adaptive section", a)
 	}
 
 	// The page alarm triggered an async flight bundle; it must carry

@@ -11,7 +11,6 @@ import (
 
 	"mvdb/internal/flight"
 	"mvdb/internal/hotspot"
-	"mvdb/internal/obs"
 )
 
 // BenchmarkHotspotProfiler measures the profiler's cost off and on
@@ -46,19 +45,15 @@ func BenchmarkHotspotProfiler(b *testing.B) {
 	}
 }
 
-// TestHotspotWorkloadShift is the tentpole acceptance path: a durable
-// group-commit adaptive engine under epoch visibility runs a uniform
-// workload, then shifts to hammering four hot keys. The profiler's
-// report must rank the hot keys at the top, the knob controller must
-// record at least one decision (as an EvKnob trace event and in
-// Stats().Extra), the flight bundle (schema v3) must carry the hotspot
-// section, and /debug/mvdb/hotspot must serve the live report.
+// TestHotspotWorkloadShift: a durable group-commit adaptive engine
+// under epoch visibility runs a uniform workload, then shifts to
+// hammering four hot keys. The profiler's report must rank the hot keys
+// at the top, Stats() must carry the adaptive and hotspot sections, the
+// flight bundle (schema v3) must carry the hotspot section, and
+// /debug/mvdb/hotspot must serve the live report.
 //
 // Health ticks are driven manually with synthetic timestamps one second
-// apart (HealthInterval is an hour), so the interval rates the knob
-// policy reads are deterministic: each phase commits sequentially, so
-// fsyncs-per-commit sits near 1.0 — fsync-bound at volume, exactly the
-// regime where the group-commit window must step up.
+// apart (HealthInterval is an hour), one per phase.
 func TestHotspotWorkloadShift(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{
@@ -130,30 +125,12 @@ func TestHotspotWorkloadShift(t *testing.T) {
 		t.Error("report has no epoch lanes under VisibilityEpoch")
 	}
 
-	// The knob controller acted on the fsync-bound intervals and the
-	// decisions are visible in Stats and the trace ring.
 	sn := db.Stats()
-	if sn.Extra["adaptive.knob_actions"] == 0 {
-		t.Fatalf("no knob actions recorded; extra=%v", sn.Extra)
-	}
-	if sn.Adaptive == nil || sn.Adaptive.KnobActions == 0 {
-		t.Fatalf("Stats().Adaptive = %+v, want recorded knob actions", sn.Adaptive)
-	}
-	if sn.Adaptive.BatchMaxDelayNS == 0 {
-		t.Errorf("group-commit window never stepped up: %+v", sn.Adaptive)
+	if sn.Adaptive == nil || sn.Adaptive.Protocol == "" {
+		t.Errorf("Stats().Adaptive = %+v, want the adaptive section", sn.Adaptive)
 	}
 	if sn.Hotspot == nil || !sn.Hotspot.Enabled {
 		t.Error("Stats().Hotspot missing the profiler report")
-	}
-	foundKnob := false
-	for _, ev := range db.Trace() {
-		if ev.Type == obs.EvKnob && strings.HasPrefix(ev.Key, "wal.batch_delay=") {
-			foundKnob = true
-			break
-		}
-	}
-	if !foundKnob {
-		t.Fatal("no wal.batch_delay EvKnob event in the trace ring")
 	}
 
 	// The flight bundle (schema v3) carries the hotspot section.

@@ -23,8 +23,6 @@ import (
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
-	"mvdb/internal/health"
-	"mvdb/internal/obs"
 )
 
 // Options configures the adaptive engine.
@@ -44,19 +42,6 @@ type Options struct {
 	// LowWater is the rate at or below which it switches back to
 	// optimistic execution (default 0.05).
 	LowWater float64
-
-	// The knob-controller taps (all optional; a nil tap disables that
-	// knob). When any is set and a health monitor drives the policy,
-	// OnHealth also runs the knob controller (knobs.go) once per
-	// well-sampled tick.
-	//
-	// WAL is the group-commit batching surface (*wal.Writer).
-	WAL WALKnobs
-	// Epoch is the epoch publisher's coalescing surface
-	// (*epoch.Controller); nil under strict visibility.
-	Epoch EpochKnobs
-	// Ring, when set, receives one EvKnob event per knob decision.
-	Ring *obs.Tracer
 }
 
 // Engine is an adaptive-concurrency-control engine. It implements
@@ -78,15 +63,6 @@ type Engine struct {
 	lastConflict int64
 
 	switches atomic.Uint64
-
-	// When a health monitor is wired (OnHealth), its interval abort
-	// fraction replaces the internal every-N-completions sampling as the
-	// policy input — same thresholds, better-conditioned signal.
-	healthDriven  atomic.Bool
-	healthSignals atomic.Uint64
-
-	// Knob-controller state (knobs.go).
-	knobActions atomic.Uint64
 }
 
 // New creates an adaptive engine over a fresh core engine.
@@ -146,47 +122,7 @@ func (e *Engine) Stats() map[string]int64 {
 	m := e.inner.Stats()
 	m["adaptive.switches"] = int64(e.switches.Load())
 	m["adaptive.protocol"] = int64(e.inner.Protocol())
-	m["adaptive.health_signals"] = int64(e.healthSignals.Load())
-	m["adaptive.knob_actions"] = int64(e.knobActions.Load())
 	return m
-}
-
-// HealthSignals returns how many health signals the policy has consumed.
-func (e *Engine) HealthSignals() uint64 { return e.healthSignals.Load() }
-
-// minHealthOps is the smallest interval transaction count an abort
-// fraction must be computed over before the policy acts on it — a
-// near-idle interval where 1 of 2 transactions aborted is not 50%
-// contention.
-const minHealthOps = 16
-
-// OnHealth consumes one health.Signal per monitor tick (wire it with
-// health.Monitor.Subscribe). The first signal permanently hands the
-// policy over to the health timeline: the internal every-N-completions
-// sampling stops evaluating, and the interval abort fraction drives the
-// same high/low-water thresholds instead. Intervals with fewer than
-// minHealthOps completed transactions are ignored — too few samples to
-// read a conflict rate from.
-func (e *Engine) OnHealth(sig health.Signal) {
-	e.healthDriven.Store(true)
-	e.healthSignals.Add(1)
-	if sig.Point.Ops < minHealthOps {
-		return
-	}
-	// The knob controller shares the protocol policy's sampling guard:
-	// an interval too thin to read a conflict rate from is too thin to
-	// retune batching over. Synchronous on the monitor goroutine — the
-	// knob setters are lock-cheap and never block on transactions.
-	e.evalKnobs(sig)
-	rate := sig.Point.AbortFrac
-	switch {
-	case rate >= e.opts.HighWater && e.inner.Protocol() != core.TwoPhaseLocking:
-		// Async for symmetry with finished(): the monitor's tick
-		// goroutine must not block behind the epoch barrier.
-		go e.SwitchTo(core.TwoPhaseLocking)
-	case rate <= e.opts.LowWater && e.inner.Protocol() != core.Optimistic:
-		go e.SwitchTo(core.Optimistic)
-	}
 }
 
 // Close implements engine.Engine.
@@ -209,12 +145,7 @@ func (e *Engine) SwitchTo(p core.Protocol) {
 
 // finished is called as each read-write transaction completes; every
 // Window completions the conflict rate over the window is evaluated.
-// Once a health monitor drives the policy (OnHealth), this becomes a
-// no-op — two uncoordinated controllers would fight over the protocol.
 func (e *Engine) finished() {
-	if e.healthDriven.Load() {
-		return
-	}
 	e.polMu.Lock()
 	e.sinceEval++
 	if e.sinceEval < e.opts.Window {

@@ -2,8 +2,8 @@
 // asynchronous pipeline that subscribes to the engine's event stream
 // (as an engine.Recorder) and maintains, live,
 //
-//   - per-transaction spans — begin → first operation → commit/abort,
-//     with per-class commit-latency quantiles, and
+//   - per-transaction spans (begin → first operation → commit/abort),
+//     and
 //   - a windowed incremental multiversion serialization graph (MVSG)
 //     over the last K committed read-write transactions, with the exact
 //     reads-from and version-order edge rules the offline checker
@@ -43,7 +43,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/history"
-	"mvdb/internal/metrics"
 	"mvdb/internal/obs"
 )
 
@@ -126,16 +125,6 @@ type Span struct {
 	Outcome string `json:"outcome"` // "commit" or "abort"
 }
 
-// Latency summarizes one class's commit latencies (nanoseconds).
-type Latency struct {
-	Count  uint64  `json:"count"`
-	MeanNS float64 `json:"mean_ns"`
-	P50NS  int64   `json:"p50_ns"`
-	P95NS  int64   `json:"p95_ns"`
-	P99NS  int64   `json:"p99_ns"`
-	MaxNS  int64   `json:"max_ns"`
-}
-
 // Snapshot is the auditor's point-in-time state: the JSON document at
 // /debug/mvdb/audit.
 type Snapshot struct {
@@ -152,10 +141,7 @@ type Snapshot struct {
 	GraphEvicted   uint64  `json:"graph_evicted"`
 	AlarmsTotal    uint64  `json:"alarms_total"`
 	Alarms         []Alarm `json:"alarms,omitempty"`
-	// Latency maps class name ("read-only"/"read-write") to the commit
-	// latency summary for that class.
-	Latency map[string]Latency `json:"latency,omitempty"`
-	Spans   []Span             `json:"recent_spans,omitempty"`
+	Spans          []Span  `json:"recent_spans,omitempty"`
 }
 
 // Event kinds on the internal channel.
@@ -219,7 +205,6 @@ type Auditor struct {
 	alarmSeq       uint64
 	alarms         []Alarm // most recent last, capped at opts.Alarms
 	spans          []Span  // most recent last, capped at opts.Spans
-	latency        map[engine.Class]*metrics.Histogram
 }
 
 // New starts an auditor. Callers must Close it to stop the consumer
@@ -256,10 +241,6 @@ func New(opts Options) *Auditor {
 		g:          history.NewGraph(history.Windowed),
 		pending:    make(map[uint64]*txState),
 		pendingCap: pendingCap,
-		latency: map[engine.Class]*metrics.Histogram{
-			engine.ReadOnly:  metrics.NewHistogram(),
-			engine.ReadWrite: metrics.NewHistogram(),
-		},
 	}
 	go a.run()
 	return a
@@ -455,9 +436,6 @@ func (a *Auditor) finishSpan(ev event, t *txState, outcome string) {
 		a.spans = a.spans[:len(a.spans)-1]
 	}
 	a.spans = append(a.spans, sp)
-	if outcome == "commit" {
-		a.latency[t.class].Record(sp.TotalNS)
-	}
 }
 
 // audit folds one committed transaction into the windowed MVSG and
@@ -468,18 +446,19 @@ func (a *Auditor) audit(ev event, t *txState) {
 	if err != nil {
 		a.alarm(ev.at, KindIntegrity, err.Error(), []uint64{ev.tx})
 	}
-	// Each new edge u->v can close a cycle only through a path v ~> u
-	// that already existed; check exactly that, and report at most one
-	// cycle per commit to keep a steady-state violation from flooding
-	// the alarm buffer.
-	for _, e := range edges {
-		p := a.g.Path(e.To, e.From)
-		if p == nil {
-			continue
+	// A cycle this commit closed passes through the head of one of its
+	// new edges: one search seeded from those heads finds it. A cycle
+	// that uses none of the new edges was already reported when it
+	// closed, so it does not alarm again; at most one alarm per commit
+	// keeps a steady-state violation from flooding the alarm buffer.
+	if len(edges) > 0 {
+		heads := make([]uint64, len(edges))
+		for i, e := range edges {
+			heads[i] = e.To
 		}
-		cycle := append(p, e.To)
-		a.alarm(ev.at, KindCycle, "MVSG cycle: "+a.formatCycle(cycle), cycle[:len(cycle)-1])
-		break
+		if cycle := a.g.FindCycleFrom(heads); cycle != nil && usesAny(cycle, edges) {
+			a.alarm(ev.at, KindCycle, "MVSG cycle: "+a.formatCycle(append(cycle, cycle[0])), cycle)
+		}
 	}
 	// Evict down to the window: at most K committed read-write
 	// transactions, and a bounded total including read-only nodes.
@@ -497,6 +476,21 @@ func (a *Auditor) audit(ev event, t *txState) {
 				vtnc, tnc), nil)
 		}
 	}
+}
+
+// usesAny reports whether the cycle (first node not repeated) contains
+// one of the edges.
+func usesAny(cycle []uint64, edges []history.Edge) bool {
+	on := make(map[history.Edge]bool, len(cycle))
+	for i, id := range cycle {
+		on[history.Edge{From: id, To: cycle[(i+1)%len(cycle)]}] = true
+	}
+	for _, e := range edges {
+		if on[e] {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *Auditor) formatCycle(cycle []uint64) string {
@@ -565,21 +559,6 @@ func (a *Auditor) Snapshot() Snapshot {
 		AlarmsTotal:    a.alarmSeq,
 		Alarms:         append([]Alarm(nil), a.alarms...),
 		Spans:          append([]Span(nil), a.spans...),
-		Latency:        make(map[string]Latency, len(a.latency)),
-	}
-	for class, h := range a.latency {
-		if h.Count() == 0 {
-			continue
-		}
-		qs := h.Quantiles([]float64{50, 95, 99})
-		sn.Latency[class.String()] = Latency{
-			Count:  h.Count(),
-			MeanNS: h.Mean(),
-			P50NS:  qs[0],
-			P95NS:  qs[1],
-			P99NS:  qs[2],
-			MaxNS:  h.Max(),
-		}
 	}
 	return sn
 }
@@ -605,23 +584,6 @@ func (a *Auditor) WriteProm(w io.Writer) {
 	dropped := a.dropped.Load()
 	alarms := a.alarmSeq
 	nodes, writers, edges := a.g.Len(), a.g.Writers(), a.g.Edges()
-	type classLat struct {
-		label string
-		sum   metrics.Summary
-		q     []int64
-	}
-	var lats []classLat
-	for _, class := range []engine.Class{engine.ReadOnly, engine.ReadWrite} {
-		h := a.latency[class]
-		if h.Count() == 0 {
-			continue
-		}
-		label := "ro"
-		if class == engine.ReadWrite {
-			label = "rw"
-		}
-		lats = append(lats, classLat{label, h.Summarize(), h.Quantiles([]float64{50, 95, 99})})
-	}
 	a.mu.Unlock()
 
 	p := obs.NewPromWriter(w)
@@ -639,15 +601,4 @@ func (a *Auditor) WriteProm(w io.Writer) {
 	p.Int("mvdb_audit_graph_writers", int64(writers))
 	p.Header("mvdb_audit_graph_edges", "gauge", "Edges currently in the windowed MVSG.")
 	p.Int("mvdb_audit_graph_edges", int64(edges))
-	if len(lats) > 0 {
-		const nsPerSec = 1e9
-		p.Header("mvdb_txn_latency_seconds", "summary", "Committed transaction latency (begin to commit), by class.")
-		for _, l := range lats {
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[0])/nsPerSec, "class", l.label, "quantile", "0.5")
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[1])/nsPerSec, "class", l.label, "quantile", "0.95")
-			p.Value("mvdb_txn_latency_seconds", float64(l.q[2])/nsPerSec, "class", l.label, "quantile", "0.99")
-			p.Value("mvdb_txn_latency_seconds_sum", float64(l.sum.TotalNanoseconds)/nsPerSec, "class", l.label)
-			p.Int("mvdb_txn_latency_seconds_count", int64(l.sum.Count), "class", l.label)
-		}
-	}
 }

@@ -14,8 +14,8 @@
 // drifting up, is the GC backlog growing without bound, did commit p99
 // degrade when the checkpoint ran. Its alarms reuse the existing
 // plumbing — flight TriggerAsync, trace PromoteRecent, the obs event
-// ring, Prometheus counters — and its Signal feeds internal/adaptive
-// as the protocol switcher's first real decision input.
+// ring, Prometheus counters — and each tick's Signal is delivered to
+// Subscribe callbacks.
 //
 // Everything here is off the transaction hot path: the only per-commit
 // cost is one histogram Record behind a nil check, and a nil *Monitor

@@ -53,8 +53,7 @@ type Alarm struct {
 }
 
 // Signal is what each tick delivers to subscribers: the new base-
-// resolution point and the alarms it raised (usually none). This is
-// the decision input internal/adaptive consumes.
+// resolution point and the alarms it raised (usually none).
 type Signal struct {
 	Point  Point   `json:"point"`
 	Alarms []Alarm `json:"alarms,omitempty"`

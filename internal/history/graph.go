@@ -394,73 +394,30 @@ func (g *Graph) addEdge(from, to uint64) {
 	g.newEdges = append(g.newEdges, Edge{From: from, To: to})
 }
 
-// Path returns a directed path from one node to another as a node list
-// (from first, to last), or nil if none exists. Passing from == to asks
-// for a cycle through that node. The online auditor calls this for each
-// edge a commit adds: a path from the edge's head back to its tail
-// closes a cycle.
-func (g *Graph) Path(from, to uint64) []uint64 {
-	type frame struct {
-		node uint64
-		next []uint64
-	}
-	succ := func(id uint64) []uint64 {
-		out := make([]uint64, 0, len(g.adj[id]))
-		for to := range g.adj[id] {
-			out = append(out, to)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	visited := map[uint64]bool{from: true}
-	stack := []frame{{from, succ(from)}}
-	parent := map[uint64]uint64{}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if len(f.next) == 0 {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		n := f.next[0]
-		f.next = f.next[1:]
-		if n == to {
-			path := []uint64{to}
-			for v := f.node; ; v = parent[v] {
-				path = append(path, v)
-				if v == from {
-					break
-				}
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path
-		}
-		if visited[n] {
-			continue
-		}
-		visited[n] = true
-		parent[n] = f.node
-		stack = append(stack, frame{n, succ(n)})
-	}
-	return nil
-}
-
 // FindCycle searches the whole graph and returns one cycle as a node-id
 // list (first node not repeated at the end), or nil if the graph is
 // acyclic. Nodes are visited in insertion order (bootstrap first) so the
 // result is deterministic for a deterministic history.
 func (g *Graph) FindCycle() []uint64 {
+	seeds := make([]uint64, 0, len(g.order)+1)
+	seeds = append(seeds, 0)
+	seeds = append(seeds, g.order...)
+	return g.FindCycleFrom(seeds)
+}
+
+// FindCycleFrom is FindCycle restricted to the nodes reachable from
+// seeds: one three-colour DFS, linear in the edges it reaches. If the
+// graph was acyclic before a batch of edges arrived, every new cycle
+// passes through the head of one of them, so seeding with those heads
+// finds it. The online auditor searches this way once per commit.
+func (g *Graph) FindCycleFrom(seeds []uint64) []uint64 {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make(map[uint64]int, len(g.nodes))
+	color := make(map[uint64]int)
 	parent := make(map[uint64]uint64)
-	seeds := make([]uint64, 0, len(g.order)+1)
-	seeds = append(seeds, 0)
-	seeds = append(seeds, g.order...)
 
 	type frame struct {
 		node uint64

@@ -158,9 +158,9 @@ func TestGraphEviction(t *testing.T) {
 	}
 }
 
-// The per-edge cycle probe: a cycle is visible the moment its closing
-// edge arrives, as a Path from the edge head back to its tail.
-func TestGraphPathFindsCycleIncrementally(t *testing.T) {
+// The per-commit cycle probe: a cycle is visible the moment its closing
+// edge arrives, to a search seeded from the new edges' heads.
+func TestFindCycleFromFindsCycleIncrementally(t *testing.T) {
 	// The A1 anomaly shape: T1 (tn 1) reads T2's version of x (tn 2) and
 	// overwrites it with its own, smaller-numbered version; a reader of
 	// x@2 then orders T1 before T2, closing T1 -> T2 -> T1.
@@ -185,27 +185,26 @@ func TestGraphPathFindsCycleIncrementally(t *testing.T) {
 		t.Fatalf("closing edge did not reveal the cycle; new edges %v", edges)
 	}
 	if g.FindCycle() == nil {
-		t.Fatal("FindCycle missed the cycle Path found")
+		t.Fatal("FindCycle missed the cycle FindCycleFrom found")
 	}
 }
 
 func cycleClosedBy(g *Graph, edges []Edge) bool {
-	for _, e := range edges {
-		if g.Path(e.To, e.From) != nil {
-			return true
-		}
+	heads := make([]uint64, len(edges))
+	for i, e := range edges {
+		heads[i] = e.To
 	}
-	return false
+	return g.FindCycleFrom(heads) != nil
 }
 
-func TestGraphPathNoPath(t *testing.T) {
+func TestFindCycleFromNoCycle(t *testing.T) {
 	g := NewGraph(Windowed)
 	for i := uint64(1); i <= 3; i++ {
 		if _, err := g.Add(TxHistory{ID: i, TN: i, Writes: []Op{{Key: fmt.Sprintf("k%d", i), VersionTN: i}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if p := g.Path(1, 3); p != nil {
-		t.Fatalf("found path %v in edgeless graph", p)
+	if c := g.FindCycleFrom([]uint64{1, 2, 3}); c != nil {
+		t.Fatalf("found cycle %v in edgeless graph", c)
 	}
 }

@@ -290,9 +290,8 @@ type Snapshot struct {
 	Hotspot *hotspot.Report `json:"hotspot,omitempty"`
 
 	// Adaptive is the adaptive controller's state (nil unless the
-	// database runs under AdaptiveCC): protocol switches, health
-	// signals consumed, knob actions taken, current knob values, and
-	// the recommended stripe count for the next boot.
+	// database runs under AdaptiveCC): the protocol in force and the
+	// switches taken.
 	Adaptive *AdaptiveInfo `json:"adaptive,omitempty"`
 
 	// Process health: liveness basics for dashboards and the future
@@ -304,30 +303,17 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	BuildRevision string  `json:"build_revision,omitempty"`
-
-	// Extra carries engine-specific counters with no typed field
-	// (adaptive switches, distributed bus traffic, ...).
-	Extra map[string]int64 `json:"extra,omitempty"`
 }
 
 // AdaptiveInfo is the adaptive engine's typed snapshot section. It is
 // defined here rather than in internal/adaptive because adaptive sits
 // above core, which sits above obs — the data flows down into the
-// snapshot the same way Extra does, but with structure.
+// snapshot as a typed section.
 type AdaptiveInfo struct {
 	// Protocol is the concurrency control currently in force.
 	Protocol string `json:"protocol"`
-	// Switches counts protocol switches; HealthSignals the health
-	// signals consumed; KnobActions the online knob adjustments taken.
-	Switches      int64 `json:"switches"`
-	HealthSignals int64 `json:"health_signals"`
-	KnobActions   int64 `json:"knob_actions"`
-	// Current knob values (zero when the corresponding target is not
-	// wired): WAL group-commit gather bounds and the epoch
-	// publish-coalescing factor.
-	BatchMaxRecords int   `json:"batch_max_records,omitempty"`
-	BatchMaxDelayNS int64 `json:"batch_max_delay_ns,omitempty"`
-	PublishEvery    int   `json:"publish_every,omitempty"`
+	// Switches counts protocol switches.
+	Switches int64 `json:"switches"`
 }
 
 // Snapshot reads the registry. Reads are ordered so that a snapshot
@@ -374,8 +360,7 @@ func (sn Snapshot) AbortsTotal() int64 {
 }
 
 // Map flattens the snapshot into the legacy flat counter vocabulary
-// used by engine.Engine.Stats and the experiment harness, merging Extra
-// last so engine-specific keys win.
+// used by engine.Engine.Stats and the experiment harness.
 func (sn Snapshot) Map() map[string]int64 {
 	m := map[string]int64{
 		"commits.ro":      sn.CommitsRO,
@@ -420,9 +405,6 @@ func (sn Snapshot) Map() map[string]int64 {
 	for _, ps := range sn.Phases {
 		m["phase."+ps.Protocol+"."+ps.Phase+".count"] = int64(ps.Durations.Count)
 		m["phase."+ps.Protocol+"."+ps.Phase+".total_ns"] = ps.Durations.TotalNanoseconds
-	}
-	for k, v := range sn.Extra {
-		m[k] = v
 	}
 	return m
 }

@@ -291,16 +291,6 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 		p.Int("mvdb_adaptive_info", 1, "protocol", a.Protocol)
 		p.Header("mvdb_adaptive_switches_total", "counter", "Protocol switches taken by the adaptive controller.")
 		p.Int("mvdb_adaptive_switches_total", a.Switches)
-		p.Header("mvdb_adaptive_health_signals_total", "counter", "Health signals consumed by the adaptive controller.")
-		p.Int("mvdb_adaptive_health_signals_total", a.HealthSignals)
-		p.Header("mvdb_adaptive_knob_actions_total", "counter", "Online knob adjustments taken by the adaptive controller.")
-		p.Int("mvdb_adaptive_knob_actions_total", a.KnobActions)
-		p.Header("mvdb_adaptive_batch_max_records", "gauge", "Current WAL group-commit gather bound in records (0 when the WAL knob is not wired).")
-		p.Int("mvdb_adaptive_batch_max_records", int64(a.BatchMaxRecords))
-		p.Header("mvdb_adaptive_batch_max_delay_seconds", "gauge", "Current WAL group-commit gather delay (0 when unset).")
-		p.Value("mvdb_adaptive_batch_max_delay_seconds", float64(a.BatchMaxDelayNS)/1e9)
-		p.Header("mvdb_adaptive_publish_every", "gauge", "Current epoch publish-coalescing factor (0 when the epoch knob is not wired).")
-		p.Int("mvdb_adaptive_publish_every", int64(a.PublishEvery))
 	}
 
 	p.Header("mvdb_build_info", "gauge", "Process build identity (constant 1; identity in labels).")
@@ -311,25 +301,5 @@ func (sn Snapshot) WriteProm(w io.Writer) error {
 	p.Int("mvdb_gomaxprocs", int64(sn.GOMAXPROCS))
 	p.Header("mvdb_uptime_seconds", "gauge", "Seconds since the stats registry was created (engine open).")
 	p.Value("mvdb_uptime_seconds", sn.UptimeSeconds)
-
-	if len(sn.Extra) > 0 {
-		p.Header("mvdb_extra", "untyped", "Engine-specific counters without a typed field.")
-		for _, k := range sortedKeys(sn.Extra) {
-			p.Int("mvdb_extra", sn.Extra[k], "name", k)
-		}
-	}
 	return p.Err()
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

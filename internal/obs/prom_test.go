@@ -60,7 +60,6 @@ func TestSnapshotWriteProm(t *testing.T) {
 	sn := s.Snapshot()
 	sn.Protocol = "vc+2pl"
 	sn.TNC, sn.VTNC, sn.VisibilityLag = 10, 8, 1
-	sn.Extra = map[string]int64{"adaptive.switches": 3, `odd"name`: 1}
 
 	var sb strings.Builder
 	if err := sn.WriteProm(&sb); err != nil {
@@ -78,8 +77,6 @@ func TestSnapshotWriteProm(t *testing.T) {
 		"mvdb_visibility_lag 1",
 		`mvdb_lock_wait_seconds{quantile="0.99"}`,
 		"mvdb_lock_wait_seconds_count 1",
-		`mvdb_extra{name="adaptive.switches"} 3`,
-		`mvdb_extra{name="odd\"name"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -238,7 +235,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"UptimeSeconds":             "mvdb_uptime_seconds",
 		"GoVersion":                 "mvdb_build_info",
 		"BuildRevision":             "mvdb_build_info",
-		"Extra":                     "mvdb_extra",
 	}
 
 	// Populate the live registry so no conditional family is skipped.
@@ -288,8 +284,6 @@ func TestWritePromCompleteness(t *testing.T) {
 				Durations: metrics.Summary{Count: 1, P50: 1, P99: 1, Max: 1, TotalNanoseconds: 1},
 				SlowestTx: 42,
 			}}))
-		case f.Type == reflect.TypeOf(map[string]int64(nil)):
-			fv.Set(reflect.ValueOf(map[string]int64{"adaptive.switches": 1}))
 		case f.Type == reflect.TypeOf((*hotspot.Report)(nil)):
 			fv.Set(reflect.ValueOf(&hotspot.Report{
 				Enabled:     true,
@@ -309,13 +303,8 @@ func TestWritePromCompleteness(t *testing.T) {
 			}))
 		case f.Type == reflect.TypeOf((*AdaptiveInfo)(nil)):
 			fv.Set(reflect.ValueOf(&AdaptiveInfo{
-				Protocol:        "vc+2pl",
-				Switches:        1,
-				HealthSignals:   2,
-				KnobActions:     3,
-				BatchMaxRecords: 128,
-				BatchMaxDelayNS: 500_000,
-				PublishEvery:    2,
+				Protocol: "vc+2pl",
+				Switches: 1,
 			}))
 		case fv.CanInt():
 			fv.SetInt(7)
@@ -371,11 +360,6 @@ func TestWritePromCompleteness(t *testing.T) {
 		"mvdb_hotspot_lane_frontier",
 		"mvdb_hotspot_stall_lane",
 		"mvdb_adaptive_switches_total",
-		"mvdb_adaptive_health_signals_total",
-		"mvdb_adaptive_knob_actions_total",
-		"mvdb_adaptive_batch_max_records",
-		"mvdb_adaptive_batch_max_delay_seconds",
-		"mvdb_adaptive_publish_every",
 	} {
 		if !emitted[fam] {
 			t.Errorf("%s missing from exposition", fam)

@@ -194,30 +194,6 @@ func (w *Writer) SetBatchObserver(fn func(records int)) {
 	w.onBatch = fn
 }
 
-// SetBatchKnobs retunes the group-commit gather bounds online (the
-// adaptive knob controller's WAL lever). The flusher re-reads both
-// values under the writer mutex on every gather iteration, so the new
-// bounds take effect at the next batch. Zero/negative maxRecords keeps
-// the current value; a negative maxDelay keeps the current value (zero
-// disables the gathering delay).
-func (w *Writer) SetBatchKnobs(maxRecords int, maxDelay time.Duration) {
-	w.mu.Lock()
-	if maxRecords > 0 {
-		w.opts.BatchMaxRecords = maxRecords
-	}
-	if maxDelay >= 0 {
-		w.opts.BatchMaxDelay = maxDelay
-	}
-	w.mu.Unlock()
-}
-
-// BatchKnobs reports the current group-commit gather bounds.
-func (w *Writer) BatchKnobs() (maxRecords int, maxDelay time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.opts.BatchMaxRecords, w.opts.BatchMaxDelay
-}
-
 func newWriter(f faultfs.File, opts Options) *Writer {
 	if opts.BatchMaxRecords <= 0 {
 		opts.BatchMaxRecords = DefaultBatchMaxRecords

@@ -50,7 +50,6 @@ import (
 	"mvdb/internal/obs"
 	"mvdb/internal/trace"
 	"mvdb/internal/vc"
-	"mvdb/internal/vc/epoch"
 	"mvdb/internal/wal"
 )
 
@@ -271,7 +270,6 @@ type Options struct {
 	// with watermark-stall attribution. The report appears in
 	// Stats().Hotspot, /metrics (mvdb_hotspot_*), flight bundles, and
 	// GET /debug/mvdb/hotspot (render live with `mvinspect -hotspots`).
-	// Under AdaptiveCC with Health it also feeds the knob controller.
 	// Off — the default — keeps every hot-path hook at one pointer test.
 	Hotspot bool
 	// HotspotSampleEvery samples one in N key touches into the sketches
@@ -283,12 +281,12 @@ type Options struct {
 	// multi-resolution rings (hours of history in fixed memory), and
 	// evaluates HealthSLOs over them with fast/slow burn-rate windows.
 	// SLO breaches promote recent traces, trigger a flight bundle (with
-	// FlightDir), append EvHealth events to the trace ring, and — under
-	// AdaptiveCC — drive the protocol switcher. DB.Health() exposes the
-	// monitor; with DebugAddr set, GET /debug/mvdb/health serves the
-	// timeline (add ?format=sparkline for an ASCII dashboard) and
-	// /metrics gains the mvdb_health_* families. Off — the default —
-	// keeps every commit path at a single pointer test.
+	// FlightDir), and append EvHealth events to the trace ring.
+	// DB.Health() exposes the monitor; with DebugAddr set, GET
+	// /debug/mvdb/health serves the timeline (add ?format=sparkline for
+	// an ASCII dashboard) and /metrics gains the mvdb_health_* families.
+	// Off — the default — keeps every commit path at a single pointer
+	// test.
 	Health bool
 	// HealthInterval is the monitor's base sampling period (0 = 1s),
 	// with or without Health: FlightDir's sampler ticks at it too.
@@ -489,17 +487,7 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{eng: eng, rw: eng, log: log, tracer: tracer, spans: spans, auditor: auditor, hot: prof, fs: opts.FS, walPath: opts.WALPath}
 	if opts.AdaptiveCC {
 		eng.SetProtocol(core.Optimistic)
-		adOpts := adaptive.Options{Ring: tracer}
-		// Knob-controller taps: the group-commit WAL and (under epoch
-		// visibility) the publisher's coalescing factor. Typed-nil care:
-		// an interface holding a nil *wal.Writer is not nil.
-		if log != nil && opts.GroupCommit {
-			adOpts.WAL = log
-		}
-		if ec, ok := eng.VC().(*epoch.Controller); ok {
-			adOpts.Epoch = ec
-		}
-		db.ad = adaptive.Wrap(eng, adOpts)
+		db.ad = adaptive.Wrap(eng, adaptive.Options{})
 		db.rw = db.ad
 	}
 	// The collector always exists (CollectGarbage works without background
@@ -588,12 +576,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("mvdb: health monitor: %w", err)
 		}
 		db.monitor = mon
-		if db.ad != nil && opts.Health {
-			// The health timeline becomes the protocol switcher's policy
-			// input: its interval abort fraction replaces the internal
-			// every-N-completions sampling.
-			mon.Subscribe(db.ad.OnHealth)
-		}
 		if !opts.Health {
 			// Prime the sampler so a bundle written before the first
 			// tick still carries the interval since Open.
@@ -816,25 +798,9 @@ func (db *DB) Update(fn func(*Tx) error) error {
 func (db *DB) Stats() Stats {
 	sn := db.eng.Snapshot()
 	if db.ad != nil {
-		info := &obs.AdaptiveInfo{
-			Protocol:      db.eng.Protocol().String(),
-			Switches:      int64(db.ad.Switches()),
-			HealthSignals: int64(db.ad.HealthSignals()),
-			KnobActions:   int64(db.ad.KnobActions()),
-		}
-		if db.log != nil {
-			recs, delay := db.log.BatchKnobs()
-			info.BatchMaxRecords = recs
-			info.BatchMaxDelayNS = delay.Nanoseconds()
-		}
-		if ec, ok := db.eng.VC().(*epoch.Controller); ok {
-			info.PublishEvery = ec.PublishEvery()
-		}
-		sn.Adaptive = info
-		sn.Extra = map[string]int64{
-			"adaptive.switches":       int64(db.ad.Switches()),
-			"adaptive.health_signals": int64(db.ad.HealthSignals()),
-			"adaptive.knob_actions":   int64(db.ad.KnobActions()),
+		sn.Adaptive = &obs.AdaptiveInfo{
+			Protocol: db.eng.Protocol().String(),
+			Switches: int64(db.ad.Switches()),
 		}
 	}
 	return sn

@@ -473,7 +473,7 @@ func TestAdaptiveCCOption(t *testing.T) {
 	if got != "v" {
 		t.Fatalf("got %q", got)
 	}
-	if _, ok := db.Stats().Extra["adaptive.switches"]; !ok {
+	if db.Stats().Adaptive == nil {
 		t.Fatal("adaptive stats missing")
 	}
 
@@ -497,7 +497,7 @@ func TestAdaptiveCCOption(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if db.Stats().Extra["adaptive.switches"] == 0 {
+	if db.Stats().Adaptive.Switches == 0 {
 		t.Log("note: no switch occurred (policy is rate-based); acceptable but unusual under this load")
 	}
 }
